@@ -27,8 +27,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6, help="largest arity to tabulate")
     parser.add_argument("--hardest", action="store_true",
-                        help="also scan all symmetric profiles per arity (3..6)")
+                        help="also scan all symmetric profiles per arity "
+                             f"(3..{classical.HARDEST_MAX_ARITY})")
     args = parser.parse_args()
+    if args.max_n > classical.RATIO_MAX_ARITY:
+        parser.error(f"--max-n must be at most {classical.RATIO_MAX_ARITY}")
 
     for n in range(2, args.max_n + 1):
         _row(f"slsb{n}", boolfun.slsb(n))
@@ -39,7 +42,7 @@ def main() -> None:
 
     if args.hardest:
         print()
-        for n in range(3, min(args.max_n, 6) + 1):
+        for n in range(3, min(args.max_n, classical.HARDEST_MAX_ARITY) + 1):
             value, ties = classical.hardest_symmetric(n)
             profiles = ", ".join("".join(map(str, t.by_weight)) for t in ties)
             print(f"hardest symmetric n={n}: R={value} attained by {profiles}")

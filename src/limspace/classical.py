@@ -4,8 +4,15 @@ The gate set is: flip, reset(c), flip(j, b) which flips iff x_j = b, and
 reset(j, b, c) which sets the scratch bit to c iff x_j = b.  Any program
 over these gates is equivalent to a normal form with at most one
 conditional reset per variable; the induced input partition has the
-function affine on each part.  That structure drives both the membership
-test and the exact best-agreement dynamic program.
+function affine on each part.
+
+The exact best agreement is one array pass over all 3^n subcubes, where
+each variable is fixed to 0, fixed to 1 or free.  A per-axis butterfly
+gives every subcube's Walsh spectrum at once, the best affine fit of each
+subcube follows from its largest coefficient, and an in-place dynamic
+program over the subcubes adds the conditional resets.  The witness
+program is read back from the tables along one path from the full cube.
+Membership is the case of total agreement.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from .boolfun import (
     SymmetricSpec,
     make_symmetric,
     popcount,
-    walsh_spectrum,
 )
 
-RATIO_MAX_ARITY = 7
+RATIO_MAX_ARITY = 10
+HARDEST_MAX_ARITY = 8
+_FREE = 2  # subcube state of a free variable; 0 and 1 fix it
 
 
 @dataclass(frozen=True)
@@ -92,15 +100,6 @@ def run_program(instructions, n: int, x: int) -> int:
 def program_truth(instructions, n: int) -> BooleanFunction:
     table = [run_program(instructions, n, x) for x in range(1 << n)]
     return BooleanFunction(n, table)
-
-
-def _lift_mask(mask: int, j: int) -> int:
-    low = mask & ((1 << (j - 1)) - 1)
-    return ((mask >> (j - 1)) << j) | low
-
-
-def _lift_witness(w: AffineWitness, j: int) -> AffineWitness:
-    return AffineWitness(w.n + 1, w.constant, _lift_mask(w.mask, j))
 
 
 def _xor_witness(a: AffineWitness, b: AffineWitness) -> AffineWitness:
@@ -195,161 +194,138 @@ class RatioResult:
     witness: NormalFormProgram
 
 
-def _restrict_arr(truth: np.ndarray, j: int, b: int) -> np.ndarray:
-    m = truth.size.bit_length() - 1
-    idx = np.arange(1 << (m - 1), dtype=np.uint32)
-    low = idx & ((1 << (j - 1)) - 1)
-    lifted = ((idx >> (j - 1)) << j) | (np.uint32(b) << (j - 1)) | low
-    return truth[lifted]
+def _subcube_spectra(g: BooleanFunction) -> np.ndarray:
+    """Walsh numerators of every restriction of g, as one (4,)*n array.
 
-
-def _affine_arr(truth: np.ndarray) -> tuple[int, int] | None:
-    m = truth.size.bit_length() - 1
-    c = int(truth[0])
-    mask = 0
-    for p in range(m):
-        if int(truth[1 << p]) ^ c:
-            mask |= 1 << p
-    idx = np.arange(1 << m, dtype=np.uint32)
-    parity = (popcount(idx & np.uint32(mask)) & 1).astype(np.uint8)
-    if np.array_equal(parity ^ c, truth):
-        return c, mask
-    return None
-
-
-class _RatioSolver:
-    """Memoized exact maximization of agreements over all programs.
-
-    Best(g) = max(bestAffine(g), max_{j,b} bestAffine(g|x_j=b) + Best(g|x_j!=b)):
-    either no conditional reset fires for any surviving input, or the last
-    one to fire splits off an affine piece on a half-cube while the rest of
-    the program acts as an unconstrained member on the complement.  Memo
-    keys are relabeled truth tables, which is sound because the program
-    family is closed under variable permutation.
+    Axis k carries x_{n-k}, since C order puts x_1 last.  On each axis,
+    states 0 and 1 fix the variable to that bit and states 2 and 3 leave
+    it free with character bit 0 or 1, so each entry is the sum over one
+    subcube of (-1)^(g(x) + y.x).  |W| <= 2^n, so int32 is exact.
     """
+    w = (1 - 2 * g.truth.astype(np.int32)).reshape((2,) * g.n)
+    for axis in range(g.n):
+        v0, v1 = w.take(0, axis), w.take(1, axis)
+        w = np.stack((v0, v1, v0 + v1, v0 - v1), axis=axis)
+    return w
 
-    def __init__(self) -> None:
-        self.memo: dict[bytes, tuple[int, tuple]] = {}
 
-    @staticmethod
-    def _key(truth: np.ndarray) -> bytes:
-        return truth.tobytes()
+def _best_affine(w: np.ndarray) -> np.ndarray:
+    """Agreements of the best affine fit on every subcube, shape (3,)*n.
 
-    @staticmethod
-    def best_affine(truth: np.ndarray) -> tuple[int, int, int]:
-        """(agreements, mask, complement) of the best affine approximation.
+    State 2 marks a free variable.  On a subcube with m free variables
+    the best fit agrees on (2^m + max_y |W(y)|) / 2 inputs.
+    """
+    top = np.abs(w)
+    size = np.ones((), dtype=np.int32)
+    for axis in range(w.ndim):
+        free = np.maximum(top.take(2, axis), top.take(3, axis))
+        top = np.stack((top.take(0, axis), top.take(1, axis), free), axis=axis)
+        size = np.multiply.outer(size, np.array([1, 1, 2], dtype=np.int32))
+    return (size + top) // 2
 
-        Ties prefer the lowest mask, then the uncomplemented parity.
-        """
-        m = truth.size.bit_length() - 1
-        w = walsh_spectrum(BooleanFunction(m, truth)).numerators
-        cnt0 = ((1 << m) + w) // 2
-        cnt1 = ((1 << m) - w) // 2
-        best = int(max(cnt0.max(), cnt1.max()))
-        ys0 = np.flatnonzero(cnt0 == best)
-        ys1 = np.flatnonzero(cnt1 == best)
-        if ys0.size and (not ys1.size or ys0[0] <= ys1[0]):
-            return best, int(ys0[0]), 0
-        return best, int(ys1[0]), 1
 
-    def best(self, truth: np.ndarray) -> int:
-        key = self._key(truth)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[0]
-        m = truth.size.bit_length() - 1
-        count, mask, comp = self.best_affine(truth)
-        choice: tuple = ("affine", mask, comp)
-        if m >= 2:
-            for j in range(1, m + 1):
-                for b in (0, 1):
-                    side = _restrict_arr(truth, j, b)
-                    rest = _restrict_arr(truth, j, 1 - b)
-                    cand = self.best_affine(side)[0] + self.best(rest)
-                    if cand > count:
-                        count = cand
-                        choice = ("split", j, b)
-        self.memo[key] = (count, choice)
-        return count
+def _best_program(agree: np.ndarray) -> np.ndarray:
+    """Best agreements over all programs on every subcube, shape (3,)*n.
 
-    def build_program(self, truth: np.ndarray) -> NormalFormProgram:
-        self.best(truth)
-        _, choice = self.memo[self._key(truth)]
-        m = truth.size.bit_length() - 1
-        if choice[0] == "affine":
-            _, mask, comp = choice
-            return NormalFormProgram(m, (), AffineWitness(m, comp, mask))
-        _, j, b = choice
-        _, mask, comp = self.best_affine(_restrict_arr(truth, j, b))
-        sub = self.build_program(_restrict_arr(truth, j, 1 - b))
-        stages = ((j, b, _lift_witness(AffineWitness(m - 1, comp, mask), j)),)
-        stages += tuple(
-            (jv if jv < j else jv + 1, bv, _lift_witness(wv, j))
-            for jv, bv, wv in sub.stages
+    Best(S) = max(A(S), max_{j,b} A(S|x_j=b) + Best(S|x_j=1-b)): either
+    no conditional reset fires on S, or the last one to fire splits off an
+    affine piece on a half of S and the rest of the program acts on the
+    other half.  Each sweep relaxes the free slice of every axis in place.
+    Values are always achievable and only rise, and after k sweeps every
+    subcube with at most k+1 free variables is exact, so n-1 sweeps do.
+    A sweep that leaves the sum unchanged moved no entry, so the table
+    already solves the recursion, whose solution is unique: stop there.
+    """
+    n = agree.ndim
+    best = agree.copy()
+    total = int(best.sum())
+    for _ in range(n - 1):
+        for axis in range(n):
+            lead = (slice(None),) * axis
+            free = best[lead + (_FREE,)]
+            np.maximum(free, agree[lead + (0,)] + best[lead + (1,)], out=free)
+            np.maximum(free, agree[lead + (1,)] + best[lead + (0,)], out=free)
+        total, before = int(best.sum()), total
+        if total == before:
+            break
+    return best
+
+
+def _with(cube: tuple[int, ...], axis: int, state: int) -> tuple[int, ...]:
+    return cube[:axis] + (state,) + cube[axis + 1 :]
+
+
+def _affine_fit(w: np.ndarray, cube: tuple[int, ...]) -> AffineWitness:
+    """Best affine fit on one subcube, over all n variables.
+
+    Ties go to the lowest mask, then to the uncomplemented parity.  The
+    flattened slice is indexed by the mask over the free variables in
+    ascending order, which orders masks as the global ones do.
+    """
+    n = w.ndim
+    spectrum = w[tuple(slice(2, 4) if s == _FREE else s for s in cube)].ravel()
+    y = int(np.argmax(np.abs(spectrum)))
+    free = [j for j in range(1, n + 1) if cube[n - j] == _FREE]
+    mask = sum(1 << (j - 1) for p, j in enumerate(free) if (y >> p) & 1)
+    return AffineWitness(n, int(spectrum[y] < 0), mask)
+
+
+def _witness(w: np.ndarray, agree: np.ndarray, best: np.ndarray) -> NormalFormProgram:
+    """Replay the optimal choices from the full cube down.
+
+    The affine fit wins unless a split is strictly better; splits are
+    tried by ascending variable, b = 0 before b = 1, and the first one
+    that attains the optimum is taken.
+    """
+    n = w.ndim
+    cube = (_FREE,) * n
+    stages = []
+    while best[cube] > agree[cube]:
+        j, b = next(
+            (j, b)
+            for j in range(1, n + 1)
+            if cube[n - j] == _FREE
+            for b in (0, 1)
+            if agree[_with(cube, n - j, b)] + best[_with(cube, n - j, 1 - b)] == best[cube]
         )
-        return NormalFormProgram(m, stages, _lift_witness(sub.tail, j))
+        stages.append((j, b, _affine_fit(w, _with(cube, n - j, b))))
+        cube = _with(cube, n - j, 1 - b)
+    return NormalFormProgram(n, tuple(stages), _affine_fit(w, cube))
 
 
-def approximation_ratio(g: BooleanFunction, _solver: _RatioSolver | None = None) -> RatioResult:
+def approximation_ratio(g: BooleanFunction) -> RatioResult:
     """Exact best agreement fraction over all scratch-bit programs."""
     if g.n > RATIO_MAX_ARITY:
         raise ValueError(f"exact ratio supported for n <= {RATIO_MAX_ARITY}")
-    solver = _solver if _solver is not None else _RatioSolver()
-    agreements = solver.best(g.truth)
-    witness = solver.build_program(g.truth)
+    w = _subcube_spectra(g)
+    agree = _best_affine(w)
+    best = _best_program(agree)
+    agreements = int(best[(_FREE,) * g.n])
+    witness = _witness(w, agree, best)
     return RatioResult(Fraction(agreements, 1 << g.n), agreements, witness)
 
 
 def omega_membership(f: BooleanFunction) -> NormalFormProgram | None:
-    """Witness program computing f exactly, or None if no program exists."""
-    memo: dict[bytes, NormalFormProgram | None] = {}
+    """Witness program computing f exactly, or None if no program exists.
 
-    def search(truth: np.ndarray) -> NormalFormProgram | None:
-        key = truth.tobytes()
-        if key in memo:
-            return memo[key]
-        m = truth.size.bit_length() - 1
-        result: NormalFormProgram | None = None
-        aff = _affine_arr(truth)
-        if aff is not None:
-            c, mask = aff
-            result = NormalFormProgram(m, (), AffineWitness(m, c, mask))
-        elif m >= 2:
-            for j in range(1, m + 1):
-                for b in (0, 1):
-                    side = _affine_arr(_restrict_arr(truth, j, b))
-                    if side is None:
-                        continue
-                    sub = search(_restrict_arr(truth, j, 1 - b))
-                    if sub is None:
-                        continue
-                    c, mask = side
-                    stages = ((j, b, _lift_witness(AffineWitness(m - 1, c, mask), j)),)
-                    stages += tuple(
-                        (jv if jv < j else jv + 1, bv, _lift_witness(wv, j))
-                        for jv, bv, wv in sub.stages
-                    )
-                    result = NormalFormProgram(m, stages, _lift_witness(sub.tail, j))
-                    break
-                if result is not None:
-                    break
-        memo[key] = result
-        return result
-
-    return search(f.truth)
+    f is a member exactly when its best agreement is total, so this reads
+    `approximation_ratio` and, like it, raises ValueError for
+    n > RATIO_MAX_ARITY.
+    """
+    res = approximation_ratio(f)
+    return res.witness if res.value == 1 else None
 
 
 def hardest_symmetric(n: int) -> tuple[Fraction, list[SymmetricSpec]]:
     """Minimum exact ratio over all symmetric functions of arity n, with ties."""
-    if not 3 <= n <= 6:
-        raise ValueError("hardest_symmetric supports 3 <= n <= 6")
-    solver = _RatioSolver()
+    if not 3 <= n <= HARDEST_MAX_ARITY:
+        raise ValueError(f"hardest_symmetric supports 3 <= n <= {HARDEST_MAX_ARITY}")
     best: Fraction | None = None
     ties: list[SymmetricSpec] = []
     for bits in range(1 << (n + 1)):
         profile = tuple((bits >> w) & 1 for w in range(n + 1))
         spec = SymmetricSpec(n, profile)
-        value = approximation_ratio(make_symmetric(spec), _solver=solver).value
+        value = approximation_ratio(make_symmetric(spec)).value
         if best is None or value < best:
             best = value
             ties = [spec]

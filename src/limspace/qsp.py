@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .boolfun import SymmetricSpec
 
@@ -197,6 +195,8 @@ def _solve_pinned(
     kind: str, phis: np.ndarray, targets: np.ndarray, L: int
 ) -> TrigPolynomial:
     """Values plus zero derivative at every weight point."""
+    import scipy.linalg
+
     harmonics, value_rows, deriv_rows = _basis_rows(kind, phis, L)
     rows = np.vstack([value_rows, deriv_rows])
     rhs = np.concatenate([targets, np.zeros(phis.size)])
@@ -231,6 +231,8 @@ def _solve_general(
     L: int,
     relax: bool,
 ):
+    import scipy.linalg
+
     if not relax:
         try:
             a = _solve_pinned("cos", phis, a_target, L)
@@ -290,6 +292,8 @@ def _minimax_polish(
     optimum; refining the grid near active maxima tightens the finite-grid
     relaxation between stages.
     """
+    import scipy.optimize
+
     ka = null_a.shape[1]
     kb = null_b.shape[1]
     u = np.zeros(ka + kb)

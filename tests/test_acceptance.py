@@ -106,12 +106,11 @@ def _oracle_best(truth: np.ndarray, m: int, aff: list[np.ndarray]) -> int:
 def test_criterion_3_dynamic_program_matches_exhaustive_enumeration():
     bad = []
     for m in (1, 2, 3):
-        solver = classical._RatioSolver()
         aff = _affine_tables(m)
         for t in range(1 << (1 << m)):
             table = np.array([(t >> i) & 1 for i in range(1 << m)], dtype=np.uint8)
             f = boolfun.BooleanFunction(m, table)
-            dp = classical.approximation_ratio(f, _solver=solver).agreements
+            dp = classical.approximation_ratio(f).agreements
             oracle = _oracle_best(table, m, aff)
             if dp != oracle:
                 bad.append(f"n={m} table={t}: dp={dp} oracle={oracle}")

@@ -47,7 +47,31 @@ def test_known_exact_ratios():
 
 def test_ratio_arity_guard():
     with pytest.raises(ValueError):
-        classical.approximation_ratio(boolfun.slsb(8))
+        classical.approximation_ratio(boolfun.slsb(11))
+
+
+def test_membership_shares_the_ratio_arity_guard():
+    parity10 = boolfun.make_symmetric(boolfun.SymmetricSpec(10, tuple(w & 1 for w in range(11))))
+    assert classical.omega_membership(parity10).truth() == parity10
+    with pytest.raises(ValueError):
+        classical.omega_membership(boolfun.slsb(11))
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (boolfun.slsb(8), Fraction(151, 256)),
+        (boolfun.ip(8), Fraction(21, 32)),
+        (boolfun.maj(9), Fraction(355, 512)),
+        (boolfun.slsb(9), Fraction(287, 512)),
+        (boolfun.slsb(10), Fraction(559, 1024)),
+    ],
+)
+def test_exact_ratios_above_seven_variables(f, want):
+    result = classical.approximation_ratio(f)
+    assert result.value == want
+    replay = classical.program_truth(result.witness.to_instructions(), f.n)
+    assert int(np.sum(replay.truth == f.truth)) == result.agreements
 
 
 @given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
@@ -89,11 +113,10 @@ def test_every_two_variable_function_is_exactly_computable():
 
 
 def test_membership_agrees_with_ratio_on_all_three_variable_functions():
-    solver = classical._RatioSolver()
     for t in range(256):
         f = boolfun.BooleanFunction(3, [(t >> i) & 1 for i in range(8)])
         prog = classical.omega_membership(f)
-        exact = classical.approximation_ratio(f, _solver=solver).value == 1
+        exact = classical.approximation_ratio(f).value == 1
         assert (prog is not None) == exact
         if prog is not None:
             assert prog.truth() == f
@@ -142,7 +165,15 @@ def test_hardest_symmetric_small():
     assert value4 == Fraction(13, 16)
     assert (0, 0, 1, 1, 0) in {spec.by_weight for spec in ties4}
     with pytest.raises(ValueError):
-        classical.hardest_symmetric(7)
+        classical.hardest_symmetric(9)
+
+
+@pytest.mark.parametrize("n, want", [(7, Fraction(79, 128)), (8, Fraction(151, 256))])
+def test_hardest_symmetric_beyond_six(n, want):
+    value, ties = classical.hardest_symmetric(n)
+    assert value == want
+    assert len(ties) == 4
+    assert boolfun.slsb_spec(n).by_weight in {spec.by_weight for spec in ties}
 
 
 def test_randomized_estimate_is_conservative():

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -53,6 +54,49 @@ def test_classical_accepts_hex_tables(capsys):
     assert out_a == out_b
 
 
+# rng(0) random table on 7 variables; text as printed by the memoized
+# recursive solver this package used before the subcube pass.
+RANDOM7_TEXT = (
+    "R = 99/128 (=0.7734375)\n"
+    "not a member of Omega\n"
+    "witness program:\n"
+    "  flip\n"
+    "  flip(4,1)\n"
+    "  flip(6,1)\n"
+    "  reset(3,0,0)\n"
+    "  flip(4,1)\n"
+    "  reset(2,0,0)\n"
+    "  flip\n"
+    "  flip(2,1)\n"
+    "  flip(3,1)\n"
+    "  flip(4,1)\n"
+    "  flip(6,1)\n"
+    "  reset(1,1,0)\n"
+    "  flip\n"
+    "  flip(2,1)\n"
+    "  flip(4,1)\n"
+    "  reset(7,0,0)\n"
+    "  flip\n"
+    "  flip(1,1)\n"
+    "  flip(2,1)\n"
+    "  flip(3,1)\n"
+    "  flip(4,1)\n"
+    "  flip(7,1)\n"
+    "  reset(5,1,0)\n"
+    "  flip(1,1)\n"
+    "  flip(2,1)\n"
+    "  flip(7,1)\n"
+)
+
+
+def test_classical_random_seven_variable_text_is_pinned(capsys):
+    code, out, _ = _run(
+        capsys, ["classical", "--table", "D55D5328C9736C3D7EE6E00A766FFE07", "--n", "7"]
+    )
+    assert code == 0
+    assert out == RANDOM7_TEXT
+
+
 def test_bounds_matches_documented_format(capsys):
     code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "6"])
     assert code == 0
@@ -60,9 +104,9 @@ def test_bounds_matches_documented_format(capsys):
 
 
 def test_bounds_large_arity_has_no_exact_column(capsys):
-    code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "8"])
+    code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "11"])
     assert code == 0
-    assert out == "gmax=0.0625, lower=0.53125, upper=0.6875, exact=n/a\n"
+    assert out == "gmax=0.03125, lower=0.515625, upper=0.609375, exact=n/a\n"
 
 
 def test_crossover_lines(capsys):
@@ -192,7 +236,7 @@ def test_usage_errors_exit_two(capsys):
         ["classical", "--fn", "maj", "--table", "E8", "--n", "3"],
         ["classical", "--n", "3"],
         ["classical", "--fn", "maj", "--n", "4"],
-        ["classical", "--fn", "slsb", "--n", "8"],
+        ["classical", "--fn", "slsb", "--n", "11"],
         ["bounds", "--fn", "ip", "--n", "9"],
         ["synth", "--fn", "maj", "--n", "3", "--method", "direct"],
         ["synth", "--fn", "ip", "--n", "4"],
@@ -229,6 +273,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gmax=0.25")
+
+
+def test_classical_and_bounds_leave_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "from limspace import cli\n"
+        "assert cli.main(['bounds', '--fn', 'slsb', '--n', '6']) == 0\n"
+        "assert cli.main(['classical', '--fn', 'maj', '--n', '5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(shutil.which("limspace") is None, reason="script not on PATH")
