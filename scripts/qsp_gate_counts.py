@@ -3,7 +3,9 @@
 Runs the full signal-processing pipeline (interpolate, complete,
 factor angles, compile, merge) for symmetric targets and prints the
 degree, raw and merged entangling counts, the mean success, and the
-phase class.  Hand constructions are listed alongside for comparison.
+phase class.  A target the pipeline refuses gets a `refused` row naming
+the failing stage's error.  Hand constructions are listed alongside for
+comparison.
 """
 
 import argparse
@@ -11,10 +13,12 @@ import argparse
 from limspace import boolfun, circuits, qsp, simulate
 
 
-def _synth_row(label, spec, params, f):
-    a, b = qsp.solve_ab(spec, params)
-    quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
-    angles = qsp.find_angles(quad)
+def _synth_row(label, spec, f):
+    try:
+        params, angles = qsp.synthesize(spec)
+    except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError) as err:
+        print(f"{label:<10} refused: {type(err).__name__}: {err}")
+        return
     compiled = circuits.compile_qsp(spec, angles, params)
     merged = circuits.merge_adjacent(compiled)
     result = simulate.asp(merged, f)
@@ -42,12 +46,9 @@ def main() -> None:
 
     print("signal-processing synthesis")
     for n in range(3, args.max_n + 1, 2):
-        _synth_row(f"maj{n}", boolfun.maj_spec(n), qsp.signal_params_maj(n), boolfun.maj(n))
+        _synth_row(f"maj{n}", boolfun.maj_spec(n), boolfun.maj(n))
     for n in range(2, args.max_n + 1):
-        spec = boolfun.slsb_spec(n)
-        anti = all(v ^ spec.by_weight[-1 - w] == 1 for w, v in enumerate(spec.by_weight))
-        params = qsp.signal_params_maj(n) if anti else qsp.signal_params_general(n)
-        _synth_row(f"slsb{n}", spec, params, boolfun.slsb(n))
+        _synth_row(f"slsb{n}", boolfun.slsb_spec(n), boolfun.slsb(n))
 
     print("\nhand constructions")
     for n in range(2, args.max_n + 1):

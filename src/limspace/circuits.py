@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfun import SymmetricSpec
-from .qsp import AngleSequence, SignalParams
+from .qsp import AngleSequence, SignalParams, _rx, _rz
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
@@ -38,18 +38,9 @@ _ROTATIONS = ("rx", "ry", "rz")
 _GATE_NAMES = _ROTATIONS + tuple(_NAMED) + ("matrix",)
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def _ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
 _ROTATION_MATRIX = {"rx": _rx, "ry": _ry, "rz": _rz}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boolfun, classical, qsp, simulate
@@ -22,8 +21,6 @@ from .circuits import ip_circuit, merge_adjacent, slsb_relative
 DEFAULT_SEED = 20240614
 DEFAULT_ASP_TOL = 1e-9
 
-_FN_NAMES = ("slsb", "maj", "ip", "parity", "const0", "const1")
-
 
 class UsageError(Exception):
     """Bad arguments or IO; maps to exit code 2."""
@@ -33,63 +30,44 @@ class VerificationFailure(Exception):
     """A correctness gate did not hold; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its knobs."""
-
-    command: str
-    fn: str | None = None
-    table: str | None = None
-    n: int | None = None
-    method: str = "qsp"
-    eps: float | None = None
-    shots: int | None = None
-    seed: int = DEFAULT_SEED
-    asp_tol: float = DEFAULT_ASP_TOL
-    out: str | None = None
-    fmt: str = "text"
-    family: str = "ip"
-    circuit: str | None = None
+def _by_weight(rule):
+    return lambda n: boolfun.make_symmetric(
+        SymmetricSpec(n, tuple(rule(w) for w in range(n + 1)))
+    )
 
 
-def _resolve_function(cfg: RunConfig) -> BooleanFunction:
+_FAMILIES = {
+    "slsb": boolfun.slsb,
+    "maj": boolfun.maj,
+    "ip": boolfun.ip,
+    "parity": _by_weight(lambda w: w & 1),
+    "const0": _by_weight(lambda w: 0),
+    "const1": _by_weight(lambda w: 1),
+}
+_DIRECT = {"slsb": slsb_relative, "ip": ip_circuit}
+
+
+def _resolve_function(cfg: argparse.Namespace) -> BooleanFunction:
     if (cfg.fn is None) == (cfg.table is None):
         raise UsageError("give exactly one of --fn and --table")
     if cfg.n is None:
         raise UsageError("--n is required")
-    n = cfg.n
     try:
         if cfg.table is not None:
-            return BooleanFunction.from_hex(n, cfg.table)
-        if cfg.fn == "slsb":
-            return boolfun.slsb(n)
-        if cfg.fn == "maj":
-            return boolfun.maj(n)
-        if cfg.fn == "ip":
-            return boolfun.ip(n)
-        return boolfun.make_symmetric(_named_symmetric_spec(cfg.fn, n))
+            return BooleanFunction.from_hex(cfg.n, cfg.table)
+        return _FAMILIES[cfg.fn](cfg.n)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
 
-def _named_symmetric_spec(name: str, n: int) -> SymmetricSpec:
-    if name == "parity":
-        return SymmetricSpec(n, tuple(w & 1 for w in range(n + 1)))
-    if name == "const0":
-        return SymmetricSpec(n, (0,) * (n + 1))
-    if name == "const1":
-        return SymmetricSpec(n, (1,) * (n + 1))
-    raise UsageError(f"--fn {name} has no symmetric weight profile")
-
-
-def _symmetric_spec(cfg: RunConfig, f: BooleanFunction) -> SymmetricSpec:
+def _symmetric_spec(f: BooleanFunction) -> SymmetricSpec:
     if not f.is_symmetric():
         raise UsageError("signal-processing synthesis needs a symmetric function")
     values = tuple(int(f.truth[(1 << w) - 1]) for w in range(f.n + 1))
     return SymmetricSpec(f.n, values)
 
 
-def _emit(cfg: RunConfig, text_lines: list[str], payload: dict) -> None:
+def _emit(cfg: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -97,7 +75,7 @@ def _emit(cfg: RunConfig, text_lines: list[str], payload: dict) -> None:
             print(line)
 
 
-def cmd_classical(cfg: RunConfig) -> int:
+def cmd_classical(cfg: argparse.Namespace) -> int:
     f = _resolve_function(cfg)
     if f.n > classical.RATIO_MAX_ARITY:
         raise UsageError(f"exact ratio needs n <= {classical.RATIO_MAX_ARITY}")
@@ -127,29 +105,23 @@ def cmd_classical(cfg: RunConfig) -> int:
     return 0
 
 
-def _synthesize(cfg: RunConfig, f: BooleanFunction) -> tuple[LimitedSpaceCircuit, dict]:
+def _synthesize(
+    cfg: argparse.Namespace, f: BooleanFunction
+) -> tuple[LimitedSpaceCircuit, dict]:
     if cfg.method == "direct":
-        if cfg.fn == "slsb":
-            return slsb_relative(f.n), {"method": "direct"}
-        if cfg.fn == "ip":
-            return ip_circuit(f.n), {"method": "direct"}
-        raise UsageError("direct synthesis exists for --fn slsb and --fn ip only")
-    spec = _symmetric_spec(cfg, f)
-    flipped = spec.complement() if spec.by_weight[0] == 1 else spec
-    anti = all(v ^ flipped.by_weight[-1 - w] == 1 for w, v in enumerate(flipped.by_weight))
-    params = qsp.signal_params_maj(f.n) if anti else qsp.signal_params_general(f.n)
+        if cfg.fn not in _DIRECT:
+            raise UsageError("direct synthesis exists for --fn slsb and --fn ip only")
+        return _DIRECT[cfg.fn](f.n), {"method": "direct"}
+    spec = _symmetric_spec(f)
     try:
-        a, b = qsp.solve_ab(spec, params)
-        c_poly, d_poly = qsp.complete_cd(a, b)
-        quad = qsp.QspQuadruple(a, b, c_poly, d_poly)
-        angles = qsp.find_angles(quad)
+        params, angles = qsp.synthesize(spec)
     except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError) as err:
         raise VerificationFailure(f"signal-processing synthesis failed: {err}") from err
     circuit = merge_adjacent(compile_qsp(spec, angles, params))
     return circuit, {"method": "qsp", "degree": params.L}
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: argparse.Namespace) -> int:
     f = _resolve_function(cfg)
     circuit, meta = _synthesize(cfg, f)
     result = simulate.asp(circuit, f)
@@ -184,7 +156,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     if cfg.circuit is None:
         raise UsageError("--circuit FILE is required")
     try:
@@ -197,12 +169,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if f.n != circuit.n:
         raise UsageError(f"circuit has n={circuit.n} but function has n={f.n}")
     result = simulate.asp(circuit, f)
-    rows = ["input_bits,f,target,p_one"]
-    for idx in range(1 << circuit.n):
-        bits = "".join(str((idx >> k) & 1) for k in range(circuit.n))
-        fx = int(result.truth[idx])
-        rows.append(f"{bits},{fx},{float(fx)!r},{float(result.p_one[idx])!r}")
-    csv_text = "\n".join(rows) + "\n"
     lines = []
     payload = {
         "command": "simulate",
@@ -212,15 +178,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     }
     if cfg.out:
         try:
-            with open(cfg.out, "w") as fh:
-                fh.write(csv_text)
+            result.save_csv(cfg.out)
         except OSError as err:
             raise UsageError(f"cannot write {cfg.out}: {err}") from err
         lines.append(f"per-input table written to {cfg.out}")
         payload["out"] = cfg.out
     else:
+        csv_text = result.to_csv()
         lines.append(csv_text.rstrip("\n"))
-        payload["rows"] = rows[1:]
+        payload["rows"] = csv_text.splitlines()[1:]
     lines.append(f"ASP = {result.asp!r}")
     lines.append(f"classification: {result.classification.value}")
     if cfg.eps is not None:
@@ -236,7 +202,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(cfg: argparse.Namespace) -> int:
     f = _resolve_function(cfg)
     gmax = boolfun.spectral_max(f)
     lower = boolfun.classical_lower_bound(gmax)
@@ -258,7 +224,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_crossover(cfg: RunConfig) -> int:
+def cmd_crossover(cfg: argparse.Namespace) -> int:
     if cfg.eps is None:
         raise UsageError("--eps is required")
     try:
@@ -279,17 +245,8 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "classical": cmd_classical,
-    "synth": cmd_synth,
-    "simulate": cmd_simulate,
-    "bounds": cmd_bounds,
-    "crossover": cmd_crossover,
-}
-
-
 def _add_function_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fn", choices=_FN_NAMES, help="built-in function family")
+    p.add_argument("--fn", choices=tuple(_FAMILIES), help="built-in function family")
     p.add_argument("--table", help="truth table as hex, lowest input index first")
     p.add_argument("--n", type=int, help="input arity")
 
@@ -302,15 +259,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classical", help="exact approximation ratio and membership")
+    p.set_defaults(handler=cmd_classical)
     _add_function_flags(p)
 
     p = sub.add_parser("synth", help="synthesize a circuit and verify it")
+    p.set_defaults(handler=cmd_synth)
     _add_function_flags(p)
     p.add_argument("--method", choices=("qsp", "direct"), default="qsp")
     p.add_argument("--out", help="write circuit JSON here")
     p.add_argument("--asp-tol", type=float, default=DEFAULT_ASP_TOL)
 
     p = sub.add_parser("simulate", help="evaluate a circuit file against a function")
+    p.set_defaults(handler=cmd_simulate)
     _add_function_flags(p)
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--eps", type=float, help="per-entangling-gate failure rate")
@@ -318,9 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the per-input CSV here")
 
     p = sub.add_parser("bounds", help="spectral bounds and exact ratio when small")
+    p.set_defaults(handler=cmd_bounds)
     _add_function_flags(p)
 
     p = sub.add_parser("crossover", help="smallest arity beating the classical bound")
+    p.set_defaults(handler=cmd_crossover)
     p.add_argument("--eps", type=float, help="per-entangling-gate failure rate")
     p.add_argument("--family", choices=("ip", "slsb"), default="ip")
 
@@ -331,30 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        fn=getattr(ns, "fn", None),
-        table=getattr(ns, "table", None),
-        n=getattr(ns, "n", None),
-        method=getattr(ns, "method", "qsp"),
-        eps=getattr(ns, "eps", None),
-        shots=getattr(ns, "shots", None),
-        seed=ns.seed,
-        asp_tol=getattr(ns, "asp_tol", DEFAULT_ASP_TOL),
-        out=getattr(ns, "out", None),
-        fmt=ns.fmt,
-        family=getattr(ns, "family", "ip"),
-        circuit=getattr(ns, "circuit", None),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config_from_args(ns)
+    cfg = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return cfg.handler(cfg)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -62,7 +62,12 @@ class SignalParams:
 
 
 def signal_params_general(n: int) -> SignalParams:
-    """Parameters that work for every symmetric function of arity n."""
+    """Degree 4n + 1 schedule for any symmetric target of arity n.
+
+    Some profiles are refused: complete_cd raises CompletionError for 4 of
+    32 profiles at n = 4, 14 of the 56 without majority symmetry at n = 5,
+    and 24 of 128 at n = 6.
+    """
     return SignalParams(pi / (n + 1), 0.0, 4 * n + 1)
 
 
@@ -71,6 +76,17 @@ def signal_params_maj(n: int) -> SignalParams:
     if n % 2 == 0:
         raise ValueError("majority parameters need odd arity")
     return SignalParams(2 * pi / (n + 1), (pi / 2) * (n - 1) / (n + 1), 2 * n + 1, True)
+
+
+def signal_params(f: SymmetricSpec) -> SignalParams:
+    """Majority schedule iff f(w) = 1 - f(n - w) at every weight, else general.
+
+    The test is invariant under complementing f, so it needs no flip.
+    """
+    v = f.by_weight
+    if all(v[w] ^ v[f.n - w] == 1 for w in range(f.n + 1)):
+        return signal_params_maj(f.n)
+    return signal_params_general(f.n)
 
 
 class TrigPolynomial:
@@ -142,7 +158,7 @@ _POSITIVITY_SLACK = 1e-9
 
 
 def solve_ab(
-    f: SymmetricSpec, params: SignalParams, relax_derivatives: bool = False
+    f: SymmetricSpec, params: SignalParams
 ) -> tuple[TrigPolynomial, TrigPolynomial]:
     """Interpolate A and B through the weight-point targets.
 
@@ -153,9 +169,9 @@ def solve_ab(
     its ceiling the derivative of the pinned polynomial must vanish, but
     the other one is genuinely free, and that freedom is what makes
     general signal parameters work (the unique fully-pinned solution can
-    overshoot one between weight points).  relax_derivatives skips the
-    fully-pinned attempt.  A target with f(0^n) = 1 is complemented first;
-    callers account for the flip by checking f(0^n) themselves.
+    overshoot one between weight points).  A target with f(0^n) = 1 is
+    complemented first; callers account for the flip by checking f(0^n)
+    themselves.
     """
     values = list(f.by_weight)
     if values[0] == 1:
@@ -175,9 +191,7 @@ def solve_ab(
         b = TrigPolynomial("sin", signs * a.coeffs)
         mask_a = mask_b = np.ones(phis.size, dtype=bool)
     else:
-        a, b, mask_a, mask_b = _solve_general(
-            phis, a_target, b_target, params.L, relax_derivatives
-        )
+        a, b, mask_a, mask_b = _solve_general(phis, a_target, b_target, params.L)
 
     _check_targets(a, b, phis, a_target, b_target, mask_a, mask_b)
     return a, b
@@ -225,24 +239,19 @@ def squared_magnitude_overshoot(
 
 
 def _solve_general(
-    phis: np.ndarray,
-    a_target: np.ndarray,
-    b_target: np.ndarray,
-    L: int,
-    relax: bool,
+    phis: np.ndarray, a_target: np.ndarray, b_target: np.ndarray, L: int
 ):
     import scipy.linalg
 
-    if not relax:
-        try:
-            a = _solve_pinned("cos", phis, a_target, L)
-            b = _solve_pinned("sin", phis, b_target, L)
-        except SolveError:
-            pass
-        else:
-            if squared_magnitude_overshoot(a, b) <= _POSITIVITY_SLACK:
-                full = np.ones(phis.size, dtype=bool)
-                return a, b, full, full
+    try:
+        a = _solve_pinned("cos", phis, a_target, L)
+        b = _solve_pinned("sin", phis, b_target, L)
+    except SolveError:
+        pass
+    else:
+        if squared_magnitude_overshoot(a, b) <= _POSITIVITY_SLACK:
+            full = np.ones(phis.size, dtype=bool)
+            return a, b, full, full
 
     # Tangency-forced rows only; the leftover null-space freedom is spent
     # pushing max(A^2 + B^2) down to one.
@@ -624,3 +633,15 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     if worst > 1e-6:
         raise AngleFindingError(f"reconstruction error {worst:.3e} exceeds 1e-6")
     return angles
+
+
+def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
+    """The schedule and angles that compute f: choose, interpolate, complete, factor.
+
+    Raises the failing stage's SolveError, CompletionError or
+    AngleFindingError.
+    """
+    params = signal_params(f)
+    a, b = solve_ab(f, params)
+    c, d = complete_cd(a, b)
+    return params, find_angles(QspQuadruple(a, b, c, d))

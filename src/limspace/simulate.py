@@ -13,7 +13,6 @@ affine functions.
 from __future__ import annotations
 
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +69,17 @@ class SimulationResult:
     classification: Classification
 
     def to_csv(self) -> str:
-        """One row per input: bit string x_1..x_n, f(x), p(measure 1)."""
-        buf = io.StringIO()
-        buf.write("input_bits,f,p_one\n")
+        """Header input_bits,f,target,p_one; one row per input.
+
+        Columns: bit string x_1..x_n, f(x), f(x) as the ideal
+        probability of measuring 1, and the simulated one.
+        """
+        rows = ["input_bits,f,target,p_one"]
         for idx in range(1 << self.n):
             bits = "".join(str((idx >> k) & 1) for k in range(self.n))
-            buf.write(f"{bits},{int(self.truth[idx])},{float(self.p_one[idx])!r}\n")
-        return buf.getvalue()
+            fx = int(self.truth[idx])
+            rows.append(f"{bits},{fx},{float(fx)!r},{float(self.p_one[idx])!r}")
+        return "\n".join(rows) + "\n"
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from limspace import cli
+from limspace import boolfun, cli, simulate
+from limspace.circuits import LimitedSpaceCircuit
 
 
 def _run(capsys, argv):
@@ -215,6 +216,30 @@ def test_simulate_out_writes_csv(capsys, tmp_path):
     rows = open(csv_path).read().splitlines()
     assert rows[0] == "input_bits,f,target,p_one"
     assert len(rows) == 9
+
+
+def test_synth_complemented_majority_takes_the_majority_schedule(capsys):
+    code, out, _ = _run(
+        capsys, ["synth", "--table", "0117177F", "--n", "5", "--format", "json"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == 11
+    assert payload["asp"] == 1.0
+
+
+def test_simulate_out_is_the_library_csv(capsys, tmp_path):
+    circuit_path = str(tmp_path / "c.json")
+    csv_path = tmp_path / "rows.csv"
+    _run(capsys, ["synth", "--fn", "maj", "--n", "5", "--out", circuit_path])
+    code, _, _ = _run(
+        capsys,
+        ["simulate", "--circuit", circuit_path, "--fn", "maj", "--n", "5",
+         "--out", str(csv_path)],
+    )
+    assert code == 0
+    result = simulate.asp(LimitedSpaceCircuit.load(circuit_path), boolfun.maj(5))
+    assert csv_path.read_bytes() == result.to_csv().encode()
 
 
 def test_output_is_deterministic_for_a_fixed_seed(capsys, tmp_path):

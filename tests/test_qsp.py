@@ -28,6 +28,28 @@ def test_signal_params_layout():
         qsp.signal_params_maj(4)
 
 
+def test_signal_params_follows_the_anti_symmetry_rule():
+    anti_profiles = 0
+    for n in range(1, 9):
+        for code in range(1 << (n + 1)):  # every profile, f(0) = 1 ones included
+            values = tuple((code >> w) & 1 for w in range(n + 1))
+            anti = all(values[w] + values[n - w] == 1 for w in range(n + 1))
+            anti_profiles += anti
+            expected = qsp.signal_params_maj(n) if anti else qsp.signal_params_general(n)
+            assert qsp.signal_params(boolfun.SymmetricSpec(n, values)) == expected
+    assert anti_profiles == 2 + 4 + 8 + 16  # 2^((n+1)/2) for n = 1, 3, 5, 7
+
+
+def test_synthesize_chooses_the_schedule_and_raises_the_stage_error():
+    params, angles = qsp.synthesize(boolfun.maj_spec(5))
+    assert params == qsp.signal_params_maj(5)
+    assert angles.L == params.L
+    params, _ = qsp.synthesize(boolfun.slsb_spec(4))
+    assert params == qsp.signal_params_general(4)
+    with pytest.raises(qsp.SolveError, match="cos system residual"):
+        qsp.synthesize(boolfun.slsb_spec(7))
+
+
 def test_trig_polynomial_evaluation_and_laurent():
     poly = qsp.TrigPolynomial("cos", [0.25, -0.5, 1.0])
     assert poly.degree == 5

@@ -96,15 +96,17 @@ def test_phaseless_words_have_alternating_determinant():
 def test_csv_layout():
     result = simulate.asp(circuits.slsb_relative(3), boolfun.slsb(3))
     lines = result.to_csv().splitlines()
-    assert lines[0] == "input_bits,f,p_one"
+    assert lines[0] == "input_bits,f,target,p_one"
     assert len(lines) == 9
-    bits, f_val, p_val = lines[1 + 0b001].split(",")
+    bits, f_val, target, p_val = lines[1 + 0b001].split(",")
     assert bits == "100"
     assert f_val == "0"
+    assert target == "0.0"
     assert float(p_val) == pytest.approx(0.0, abs=1e-12)
-    bits, f_val, p_val = lines[1 + 0b011].split(",")
+    bits, f_val, target, p_val = lines[1 + 0b011].split(",")
     assert bits == "110"
     assert f_val == "1"
+    assert target == "1.0"
     assert float(p_val) == pytest.approx(1.0, abs=1e-12)
 
 
