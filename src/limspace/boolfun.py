@@ -59,15 +59,11 @@ class BooleanFunction:
     def __repr__(self) -> str:
         return f"BooleanFunction(n={self.n}, hex={self.to_hex()!r})"
 
-    def table_int(self) -> int:
-        """Truth table packed into an int, index 0 least significant."""
-        weights = 1 << np.arange(1 << self.n, dtype=object)
-        return int((self.truth.astype(object) * weights).sum())
-
     def to_hex(self) -> str:
         """Little-endian-by-index hex serialization of the truth table."""
         width = ((1 << self.n) + 3) // 4
-        return format(self.table_int(), f"0{width}X")
+        packed = np.packbits(self.truth, bitorder="little").tobytes()
+        return format(int.from_bytes(packed, "little"), f"0{width}X")
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> BooleanFunction:
@@ -251,21 +247,6 @@ class AffineWitness:
         idx = np.arange(1 << self.n, dtype=np.uint32)
         par = popcount(idx & np.uint32(self.mask)) & 1
         return (par ^ self.constant).astype(np.uint8)
-
-
-def restrict(f: BooleanFunction, j: int, b: int) -> BooleanFunction:
-    """Fix x_j = b; remaining variables keep their relative order."""
-    if not 1 <= j <= f.n:
-        raise ValueError(f"variable index must be in 1..{f.n}")
-    if b not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    if f.n == 1:
-        raise ValueError("cannot restrict an arity-1 function")
-    idx = np.arange(1 << (f.n - 1), dtype=np.uint32)
-    low = idx & ((1 << (j - 1)) - 1)
-    high = (idx >> (j - 1)) << j
-    lifted = high | (np.uint32(b) << (j - 1)) | low
-    return BooleanFunction(f.n - 1, f.truth[lifted])
 
 
 def affine_test(f: BooleanFunction) -> AffineWitness | None:

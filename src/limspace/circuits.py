@@ -233,24 +233,6 @@ class LimitedSpaceCircuit:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    def to_qasm(self) -> str:
-        """Readable one-gate-per-line text; import is not supported."""
-        lines = [f"// {self.n} input bits, one work qubit"]
-        if self.phase_convention:
-            lines.append(f"// phase convention: {self.phase_convention}")
-        for g in self.gates:
-            if g.name in _ROTATIONS:
-                head = f"{g.name}({_format_angle(g.angle)})"
-            elif g.name == "matrix":
-                head = f"unitary({g.label})"
-            else:
-                head = g.name
-            if g.control is None:
-                lines.append(f"{head} anc;")
-            else:
-                lines.append(f"c{head} in[{g.control}], anc;")
-        return "\n".join(lines) + "\n"
-
 
 def entangling_count(c: LimitedSpaceCircuit) -> int:
     """Number of gates that carry a control."""

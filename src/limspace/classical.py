@@ -27,7 +27,6 @@ from .boolfun import (
     BooleanFunction,
     SymmetricSpec,
     make_symmetric,
-    popcount,
 )
 
 RATIO_MAX_ARITY = 10
@@ -333,38 +332,3 @@ def hardest_symmetric(n: int) -> tuple[Fraction, list[SymmetricSpec]]:
             ties.append(spec)
     assert best is not None
     return best, ties
-
-
-def randomized_ratio_estimate(
-    g: BooleanFunction, extra_bits: int = 2, trials: int = 10000, seed: int = 0
-) -> float:
-    """Best agreement found among sampled programs reading extra random bits.
-
-    Samples normal-form programs on n + extra_bits variables uniformly over
-    (stage count, stage variables, stage bits, affine pieces) and evaluates
-    the agreement with g exactly over all inputs and random strings, so the
-    returned value never exceeds the randomized ratio it estimates.
-    """
-    n = g.n
-    total = n + extra_bits
-    if total > 20:
-        raise ValueError("n + extra_bits too large to enumerate")
-    rng = np.random.default_rng(seed)
-    idx = np.arange(1 << total, dtype=np.int64)
-    gx = g.truth[idx & ((1 << n) - 1)]
-    best = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(0, total + 1))
-        stage_vars = rng.permutation(total)[:k] + 1
-        stage_bits = rng.integers(0, 2, size=k)
-        consts = rng.integers(0, 2, size=k + 1)
-        masks = rng.integers(0, 1 << total, size=k + 1, dtype=np.int64)
-        out = ((popcount(idx & masks[k]) & 1) ^ consts[k]).astype(np.uint8)
-        assigned = np.zeros(idx.size, dtype=bool)
-        for i in range(k):
-            hit = ((idx >> (int(stage_vars[i]) - 1)) & 1) == stage_bits[i]
-            take = hit & ~assigned
-            out[take] = ((popcount(idx[take] & masks[i]) & 1) ^ consts[i]).astype(np.uint8)
-            assigned |= hit
-        best = max(best, float(np.mean(out == gx)))
-    return best

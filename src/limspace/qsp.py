@@ -225,17 +225,23 @@ def _solve_pinned(
     return TrigPolynomial(kind, coeffs)
 
 
-def squared_magnitude_overshoot(
-    a: TrigPolynomial, b: TrigPolynomial, points: int = 100001
-) -> float:
-    """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0.
+def _squared_magnitude(a: TrigPolynomial, b: TrigPolynomial, points: int) -> np.ndarray:
+    """A^2 + B^2 on linspace(0, pi, points) by one real FFT; needs points > L + 1.
 
-    A^2 + B^2 is even, 2pi-periodic, and mirror-symmetric about pi, so a
-    grid on [0, pi] sees its full range.
+    The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
+    z = exp(i phi) it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the
+    inverse real FFT of s at length 2 (points - 1), scaled by that length.
     """
-    grid = np.linspace(0.0, pi, points)
-    total = a(grid) ** 2 + b(grid) ** 2
-    return float(total.max()) - 1.0
+    L = max(a.degree, b.degree)
+    la, lb = a.laurent(L), b.laurent(L)
+    half = (np.convolve(la, la) + np.convolve(lb, lb)).real[2 * L :: 2]
+    size = 2 * (points - 1)
+    return np.fft.irfft(half, n=size)[:points] * size
+
+
+def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
+    """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0."""
+    return float(_squared_magnitude(a, b, 100001).max()) - 1.0
 
 
 def _solve_general(
@@ -307,8 +313,6 @@ def _minimax_polish(
     kb = null_b.shape[1]
     u = np.zeros(ka + kb)
     fine = np.linspace(0.0, pi, 200001)
-    fine_cos = np.cos(0.5 * np.multiply.outer(fine, harmonics))
-    fine_sin = np.sin(0.5 * np.multiply.outer(fine, harmonics))
     grid = np.linspace(0.0, pi, 2001)
     for _ in range(stages):
         base = 0.5 * np.multiply.outer(grid, harmonics)
@@ -329,13 +333,14 @@ def _minimax_polish(
             options={"maxiter": 1000, "ftol": 1e-16},
         )
         u = result.x[:-1]
-        total = (fine_cos @ (part_a + null_a @ u[:ka])) ** 2
-        total += (fine_sin @ (part_b + null_b @ u[ka:])) ** 2
+        coeff_a, coeff_b = part_a + null_a @ u[:ka], part_b + null_b @ u[ka:]
+        pair = TrigPolynomial("cos", coeff_a), TrigPolynomial("sin", coeff_b)
+        total = _squared_magnitude(*pair, fine.size)
         if float(total.max()) <= 1.0 + _POSITIVITY_SLACK:
             break
         hot = fine[total > 1.0 - 1e-4]
         grid = np.unique(np.concatenate([np.linspace(0.0, pi, 2001), hot]))
-    return part_a + null_a @ u[:ka], part_b + null_b @ u[ka:]
+    return coeff_a, coeff_b
 
 
 def _check_targets(
@@ -419,7 +424,9 @@ def complete_cd(
     scale = float(np.max(np.abs(r_full)))
     if scale < 1e-12:
         return _zero_poly("sin"), _zero_poly("cos")
-    _check_nonnegative(a, b)
+    low = -squared_magnitude_overshoot(a, b)
+    if low < -_POSITIVITY_SLACK:
+        raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 
     m = L
     while m > 0 and abs(r_full[L + m]) < 1e-12 * scale:
@@ -446,14 +453,6 @@ def complete_cd(
             return c, d
         last_error = CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
     raise last_error if last_error is not None else CompletionError("no completion")
-
-
-def _check_nonnegative(a: TrigPolynomial, b: TrigPolynomial) -> None:
-    phis = np.linspace(-2 * pi, 2 * pi, 10000)
-    p = 1.0 - a(phis) ** 2 - b(phis) ** 2
-    low = float(np.min(p))
-    if low < -1e-9:
-        raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 
 
 def _pair_roots(roots: np.ndarray, unit_tol: float) -> np.ndarray:

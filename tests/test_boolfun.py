@@ -34,6 +34,14 @@ def test_hex_round_trip_random(n, rnd):
     assert np.array_equal(boolfun.BooleanFunction.from_hex(n, f.to_hex()).truth, f.truth)
 
 
+def test_to_hex_matches_the_python_int_formula():
+    rng = np.random.default_rng(20240614)
+    tables = [boolfun.BooleanFunction(n, rng.integers(0, 2, 1 << n)) for n in range(1, 13)]
+    for f in tables + [boolfun.slsb(16)]:
+        value = sum(int(bit) << i for i, bit in enumerate(f.truth))
+        assert f.to_hex() == format(value, f"0{((1 << f.n) + 3) // 4}X")
+
+
 def test_slsb_profile_matches_weight_bit():
     for n in range(2, 9):
         f = boolfun.slsb(n)
@@ -148,14 +156,3 @@ def test_affine_test_exhaustive_small():
                 assert np.array_equal(witness.truth(), f.truth)
                 assert all(witness.evaluate(x) == f(x) for x in range(1 << n))
         assert hits == 1 << (n + 1)
-
-
-def test_restrict_splits_truth():
-    f = boolfun.maj(3)
-    low = boolfun.restrict(f, 2, 0)
-    high = boolfun.restrict(f, 2, 1)
-    assert low.n == 2 and high.n == 2
-    for idx in range(4):
-        x1, x3 = idx & 1, (idx >> 1) & 1
-        assert low.truth[idx] == f.truth[x1 | (x3 << 2)]
-        assert high.truth[idx] == f.truth[x1 | 2 | (x3 << 2)]

@@ -93,20 +93,6 @@ def test_save_load_round_trip(tmp_path):
     assert len(payload["gates"]) == 10
 
 
-def test_qasm_rendering():
-    lines = circuits.slsb_relative(3).to_qasm().splitlines()
-    assert lines[0] == "// 3 input bits, one work qubit"
-    assert lines[1].startswith("// phase convention: relative phase")
-    assert lines[2] == "cunitary(hx) in[3], anc;"
-    assert lines[3] == "cunitary(hx) in[2], anc;"
-    assert lines[4] == "cz in[1], anc;"
-    assert lines[5] == "ch in[2], anc;"
-    assert lines[6] == "ch in[3], anc;"
-    ip_lines = circuits.ip_circuit(2).to_qasm().splitlines()
-    assert "ry(pi/4) anc;" in ip_lines
-    assert "cx in[2], anc;" in ip_lines
-
-
 def test_slsb_relative_counts_and_pattern():
     for n in range(2, 13):
         c = circuits.slsb_relative(n)

@@ -174,16 +174,3 @@ def test_hardest_symmetric_beyond_six(n, want):
     assert value == want
     assert len(ties) == 4
     assert boolfun.slsb_spec(n).by_weight in {spec.by_weight for spec in ties}
-
-
-def test_randomized_estimate_is_conservative():
-    g = boolfun.slsb(3)
-    est = classical.randomized_ratio_estimate(g, extra_bits=2, trials=300, seed=7)
-    assert 0.5 <= est <= float(classical.approximation_ratio(g).value) + 1e-12
-
-
-def test_randomized_estimate_finds_exact_programs_for_members():
-    f = boolfun.make_symmetric(boolfun.SymmetricSpec(3, (0, 1, 0, 1)))
-    assert classical.omega_membership(f) is not None
-    est = classical.randomized_ratio_estimate(f, extra_bits=0, trials=2000, seed=3)
-    assert est == 1.0

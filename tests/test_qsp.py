@@ -142,10 +142,24 @@ def test_quadruple_kind_validation():
         qsp.QspQuadruple(cosp, cosp, sinp, cosp)
 
 
+def test_squared_magnitude_kernel_matches_direct_evaluation():
+    rng = np.random.default_rng(20240614)
+    for L in range(1, 42, 2):
+        size = (L + 1) // 2
+        a = qsp.TrigPolynomial("cos", rng.uniform(-1, 1, size) / size)
+        b = qsp.TrigPolynomial("sin", rng.uniform(-1, 1, rng.integers(1, size + 1)) / size)
+        for points in (101, 100001, 200001):
+            grid = np.linspace(0.0, math.pi, points)
+            np.testing.assert_allclose(
+                qsp._squared_magnitude(a, b, points), a(grid) ** 2 + b(grid) ** 2,
+                rtol=0, atol=1e-12,
+            )
+
+
 def test_completion_rejects_oversized_components():
     a = qsp.TrigPolynomial("cos", [1.2])
     b = qsp.TrigPolynomial("sin", [0.0])
-    with pytest.raises(qsp.CompletionError):
+    with pytest.raises(qsp.CompletionError, match="P dips to -4.400e-01"):
         qsp.complete_cd(a, b)
 
 
