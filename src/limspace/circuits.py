@@ -178,17 +178,6 @@ class LimitedSpaceCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def word(self, x) -> np.ndarray:
-        """V(x) for one input, bits given as a length-n 0/1 sequence."""
-        bits = np.asarray(x, dtype=int)
-        if bits.shape != (self.n,):
-            raise ValueError(f"input must have {self.n} bits")
-        v = _I2
-        for g in self.gates:
-            if g.control is None or bits[g.control - 1]:
-                v = g.action @ v
-        return v
-
     def words(self) -> np.ndarray:
         """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1)."""
         idx = np.arange(1 << self.n)

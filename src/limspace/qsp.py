@@ -110,26 +110,14 @@ class TrigPolynomial:
     def degree(self) -> int:
         return 2 * self.coeffs.size - 1
 
-    def _harmonics(self) -> np.ndarray:
-        return 2.0 * np.arange(self.coeffs.size) + 1.0
-
     def __call__(self, phi) -> np.ndarray | float:
-        phi_arr = np.asarray(phi, dtype=float)
-        j = self._harmonics()
-        angles = 0.5 * np.multiply.outer(phi_arr, j)
-        basis = np.cos(angles) if self.kind == "cos" else np.sin(angles)
-        out = basis @ self.coeffs
+        out = _half_angle_basis(self.kind, phi, self.coeffs.size) @ self.coeffs
         return float(out) if np.isscalar(phi) else out
 
     def derivative(self, phi) -> np.ndarray | float:
-        phi_arr = np.asarray(phi, dtype=float)
-        j = self._harmonics()
-        angles = 0.5 * np.multiply.outer(phi_arr, j)
-        if self.kind == "cos":
-            basis = -np.sin(angles)
-        else:
-            basis = np.cos(angles)
-        out = basis @ (0.5 * j * self.coeffs)
+        other, slope = _DERIVATIVE[self.kind]
+        j = 2.0 * np.arange(self.coeffs.size) + 1.0
+        out = _half_angle_basis(other, phi, self.coeffs.size) @ (slope * j * self.coeffs)
         return float(out) if np.isscalar(phi) else out
 
     def laurent(self, L: int | None = None) -> np.ndarray:
@@ -150,11 +138,20 @@ class TrigPolynomial:
         return out
 
 
-def _zero_poly(kind: str) -> TrigPolynomial:
-    return TrigPolynomial(kind, [0.0])
+def _half_angle_basis(kind: str, phi, size: int) -> np.ndarray:
+    """cos or sin of (2k+1) phi / 2 for k < size, shape phi.shape + (size,)."""
+    harmonics = 2.0 * np.arange(size) + 1.0
+    angles = 0.5 * np.multiply.outer(np.asarray(phi, dtype=float), harmonics)
+    return np.cos(angles) if kind == "cos" else np.sin(angles)
+
+
+# d/dphi of kind((2k+1) phi / 2) is slope * (2k+1) * other((2k+1) phi / 2).
+_DERIVATIVE = {"cos": ("sin", -0.5), "sin": ("cos", 0.5)}
 
 
 _POSITIVITY_SLACK = 1e-9
+_POLISH_STAGES = 3
+_TARGET_TOL = 1e-10
 
 
 def solve_ab(
@@ -198,11 +195,11 @@ def solve_ab(
 
 
 def _basis_rows(kind: str, phis: np.ndarray, L: int):
-    harmonics = 2.0 * np.arange((L + 1) // 2) + 1.0
-    angles = 0.5 * np.multiply.outer(phis, harmonics)
-    if kind == "cos":
-        return harmonics, np.cos(angles), -np.sin(angles) * (0.5 * harmonics)
-    return harmonics, np.sin(angles), np.cos(angles) * (0.5 * harmonics)
+    size = (L + 1) // 2
+    other, slope = _DERIVATIVE[kind]
+    harmonics = 2.0 * np.arange(size) + 1.0
+    derivs = _half_angle_basis(other, phis, size) * (slope * harmonics)
+    return harmonics, _half_angle_basis(kind, phis, size), derivs
 
 
 def _solve_pinned(
@@ -298,14 +295,13 @@ def _minimax_polish(
     part_b: np.ndarray,
     null_b: np.ndarray,
     harmonics: np.ndarray,
-    stages: int = 3,
 ):
     """Minimize max(A^2 + B^2) over the affine family of interpolants.
 
     Pointwise A^2 + B^2 is a convex quadratic in the free coordinates, so
     the epigraph program is convex and the solver reaches the global
     optimum; refining the grid near active maxima tightens the finite-grid
-    relaxation between stages.
+    relaxation between _POLISH_STAGES stages.
     """
     import scipy.optimize
 
@@ -314,10 +310,9 @@ def _minimax_polish(
     u = np.zeros(ka + kb)
     fine = np.linspace(0.0, pi, 200001)
     grid = np.linspace(0.0, pi, 2001)
-    for _ in range(stages):
-        base = 0.5 * np.multiply.outer(grid, harmonics)
-        cos_rows = np.cos(base)
-        sin_rows = np.sin(base)
+    for _ in range(_POLISH_STAGES):
+        cos_rows = _half_angle_basis("cos", grid, harmonics.size)
+        sin_rows = _half_angle_basis("sin", grid, harmonics.size)
 
         def squared(v):
             A = cos_rows @ (part_a + null_a @ v[:ka])
@@ -343,17 +338,15 @@ def _minimax_polish(
     return coeff_a, coeff_b
 
 
-def _check_targets(
-    a, b, phis, a_target, b_target, mask_a, mask_b, tol: float = 1e-10
-) -> None:
+def _check_targets(a, b, phis, a_target, b_target, mask_a, mask_b) -> None:
     worst = max(
         float(np.max(np.abs(a(phis) - a_target))),
         float(np.max(np.abs(b(phis) - b_target))),
         float(np.max(np.abs(a.derivative(phis[mask_a])))) if mask_a.any() else 0.0,
         float(np.max(np.abs(b.derivative(phis[mask_b])))) if mask_b.any() else 0.0,
     )
-    if worst > tol:
-        raise SolveError(f"constraint residual {worst:.3e} exceeds {tol:.1e}")
+    if worst > _TARGET_TOL:
+        raise SolveError(f"constraint residual {worst:.3e} exceeds {_TARGET_TOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -375,13 +368,12 @@ class QspQuadruple:
     def L(self) -> int:
         return max(p.degree for p in (self.a, self.b, self.c, self.d))
 
-    def matrix(self, phi: float) -> np.ndarray:
-        return (
-            self.a(phi) * _I2
-            + 1j * self.b(phi) * _X
-            + 1j * self.c(phi) * _Y
-            + 1j * self.d(phi) * _Z
+    def matrix(self, phi) -> np.ndarray:
+        """A I + iB X + iC Y + iD Z at a scalar or array phi, shape (..., 2, 2)."""
+        a, b, c, d = (
+            np.asarray(p(phi))[..., None, None] for p in (self.a, self.b, self.c, self.d)
         )
+        return a * _I2 + 1j * b * _X + 1j * c * _Y + 1j * d * _Z
 
     def unitarity_defect(self, grid_points: int | None = None) -> float:
         """max |A^2+B^2+C^2+D^2 - 1| over an even grid on [-2pi, 2pi)."""
@@ -423,7 +415,7 @@ def complete_cd(
 
     scale = float(np.max(np.abs(r_full)))
     if scale < 1e-12:
-        return _zero_poly("sin"), _zero_poly("cos")
+        return TrigPolynomial("sin", [0.0]), TrigPolynomial("cos", [0.0])
     low = -squared_magnitude_overshoot(a, b)
     if low < -_POSITIVITY_SLACK:
         raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
@@ -558,14 +550,22 @@ def _rx(phi: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def reconstruct(angles: AngleSequence, phi: float) -> np.ndarray:
-    """Evaluate U(phi) for the angle sequence, right to left over j=L..1."""
-    xi = angles.xi
-    u = _I2
-    rx = _rx(phi)
-    for j in range(xi.size - 1, 0, -1):
-        u = (_rz(xi[j]) @ rx @ _rz(-xi[j])) @ u
-    return _rz(xi[0]) @ u
+def reconstruct(angles: AngleSequence, phi) -> np.ndarray:
+    """U(phi) at a scalar or array phi, shape (..., 2, 2).
+
+    Each factor R_z(xi) R_x(phi) R_z(-xi) is [[c, -i s e^{-i xi}], [-i s e^{i xi}, c]]
+    with c, s = cos(phi / 2), sin(phi / 2).
+    """
+    half = 0.5 * np.asarray(phi, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    factor = np.empty(c.shape + (2, 2), dtype=complex)
+    factor[..., 0, 0] = factor[..., 1, 1] = c
+    u = np.broadcast_to(_rz(angles.xi[0]), factor.shape)
+    for xi in angles.xi[1:]:
+        factor[..., 0, 1] = -1j * s * np.exp(-1j * xi)
+        factor[..., 1, 0] = -1j * s * np.exp(1j * xi)
+        u = u @ factor
+    return u
 
 
 def _laurent_matrix(q: QspQuadruple) -> tuple[np.ndarray, int]:
@@ -588,12 +588,6 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     """
     coeffs, L = _laurent_matrix(q)
     center = L
-    # Trim a degenerate declared degree down to the true one, keeping parity.
-    while L > 1:
-        top = np.linalg.norm(coeffs[center + L]) + np.linalg.norm(coeffs[center - L])
-        if top > 1e-9:
-            break
-        L -= 2
     xi = np.zeros(L + 1)
     for d in range(L, 0, -1):
         lead = coeffs[center + d]
@@ -624,11 +618,9 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     xi[0] = 2.0 * float(np.angle(const[1, 1]))
     angles = AngleSequence(xi)
 
-    rng = np.random.default_rng(20240614)
-    worst = 0.0
-    for phi in rng.uniform(-2 * pi, 2 * pi, size=100):
-        diff = reconstruct(angles, float(phi)) - q.matrix(float(phi))
-        worst = max(worst, float(np.linalg.norm(diff, ord=2)))
+    phis = np.random.default_rng(20240614).uniform(-2 * pi, 2 * pi, size=100)
+    diff = reconstruct(angles, phis) - q.matrix(phis)
+    worst = float(np.linalg.norm(diff, ord=2, axis=(1, 2)).max())
     if worst > 1e-6:
         raise AngleFindingError(f"reconstruction error {worst:.3e} exceeds 1e-6")
     return angles
@@ -637,10 +629,17 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
 def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
     """The schedule and angles that compute f: choose, interpolate, complete, factor.
 
-    Raises the failing stage's SolveError, CompletionError or
-    AngleFindingError.
+    When the majority schedule's interpolation fails, the general schedule
+    is tried instead; the returned params are the ones used.  Raises the
+    failing stage's SolveError, CompletionError or AngleFindingError.
     """
     params = signal_params(f)
-    a, b = solve_ab(f, params)
+    try:
+        a, b = solve_ab(f, params)
+    except SolveError:
+        if not params.maj_symmetry:
+            raise
+        params = signal_params_general(f.n)
+        a, b = solve_ab(f, params)
     c, d = complete_cd(a, b)
     return params, find_angles(QspQuadruple(a, b, c, d))

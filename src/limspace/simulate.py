@@ -86,12 +86,6 @@ class SimulationResult:
             fh.write(self.to_csv())
 
 
-def evaluate(c: LimitedSpaceCircuit, x) -> tuple[np.ndarray, float]:
-    """V(x) and the probability of measuring 1 starting from |0>."""
-    v = c.word(x)
-    return v, float(min(1.0, abs(v[1, 0]) ** 2))
-
-
 def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     """Exhaustive success probability and implementation class."""
     if c.n != f.n:

@@ -48,14 +48,29 @@ def test_gate_actions():
     assert np.allclose(rz, np.diag([np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi)]))
 
 
+def _word(c, bits):
+    """V(x) for one input by a per-input gate product, the reference for words()."""
+    v = np.eye(2, dtype=complex)
+    for g in c.gates:
+        if g.control is None or bits[g.control - 1]:
+            v = g.action @ v
+    return v
+
+
 def test_circuit_word_and_words_agree():
-    c = circuits.slsb_relative(3)
-    with pytest.raises(ValueError):
-        c.word([0, 1])
-    allwords = c.words()
-    for idx in range(8):
-        bits = [(idx >> i) & 1 for i in range(3)]
-        assert np.allclose(allwords[idx], c.word(bits), atol=1e-12)
+    empty = circuits.LimitedSpaceCircuit(n=3, gates=())
+    relative = circuits.slsb_relative(3)
+    fig1 = circuits.builtin_slsb3_fig1()
+    for c in (empty, relative, fig1):
+        allwords = c.words()
+        for idx in range(8):
+            bits = [(idx >> i) & 1 for i in range(3)]
+            assert np.allclose(allwords[idx], _word(c, bits), atol=1e-12)
+    # Pinned inputs, index sum x_i 2^(i-1): the empty circuit's word on
+    # x = 010 is I, and both slsb circuits measure 1 on x = 110 and 111.
+    assert np.array_equal(empty.words()[0b010], np.eye(2))
+    assert abs(relative.words()[0b011, 1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(fig1.words()[0b111, 1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_json_round_trip_is_bit_exact():
@@ -250,17 +265,20 @@ def _compiled(spec, params):
 
 
 def test_compile_qsp_majority():
-    spec = boolfun.maj_spec(3)
-    params = qsp.signal_params_maj(3)
-    c, xi = _compiled(spec, params)
-    assert circuits.entangling_count(c) == 3 * params.L
-    result = simulate.asp(c, boolfun.maj(3))
-    assert result.asp == pytest.approx(1.0, abs=1e-9)
-    words = c.words()
-    weights = boolfun.popcount(np.arange(8, dtype=np.uint32))
-    for idx in range(8):
-        target = qsp.reconstruct(xi, float(params.phi(int(weights[idx]))))
-        assert np.max(np.abs(words[idx] - target)) <= 1e-8
+    for n in (3, 5, 7):
+        params = qsp.signal_params_maj(n)
+        c, xi = _compiled(boolfun.maj_spec(n), params)
+        assert circuits.entangling_count(c) == n * params.L
+        weights = boolfun.popcount(np.arange(1 << n, dtype=np.uint32))
+        target = qsp.reconstruct(xi, params.phi(weights))
+        assert np.max(np.abs(c.words() - target)) <= 1e-8
+        # Majority angles come in equal adjacent pairs, so the z-rotations
+        # between paired layers cancel and the merge fuses their signal
+        # blocks: n(n+1) of the n(2n+1) entangling gates remain.
+        merged = circuits.merge_adjacent(c)
+        assert circuits.entangling_count(merged) == n * (n + 1)
+        result = simulate.asp(merged, boolfun.maj(n))
+        assert result.asp == pytest.approx(1.0, abs=1e-9)
 
 
 def test_compile_qsp_general_path():

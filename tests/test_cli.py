@@ -4,9 +4,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from limspace import boolfun, cli, simulate
+from limspace import boolfun, cli, qsp, simulate
 from limspace.circuits import LimitedSpaceCircuit
 
 
@@ -14,6 +15,12 @@ def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subprocess_env():
+    """The environment with PYTHONPATH at the imported package's source root."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def test_classical_text_output(capsys):
@@ -228,6 +235,31 @@ def test_synth_complemented_majority_takes_the_majority_schedule(capsys):
     assert payload["asp"] == 1.0
 
 
+def test_synth_anti_symmetric_profile_falls_back_to_the_general_schedule(capsys):
+    code, out, err = _run(capsys, ["synth", "--fn", "slsb", "--n", "7", "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["degree"] == 29
+    assert payload["asp"] >= 1.0 - 1e-9
+
+
+def test_synth_reports_a_vanished_leading_coefficient(capsys, monkeypatch):
+    solve_ab = qsp.solve_ab
+
+    def padded(f, params):
+        return tuple(
+            qsp.TrigPolynomial(p.kind, np.append(p.coeffs, 0.0)) for p in solve_ab(f, params)
+        )
+
+    monkeypatch.setattr(qsp, "solve_ab", padded)
+    code, out, err = _run(capsys, ["synth", "--fn", "maj", "--n", "3"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "verification failed: signal-processing synthesis failed: "
+        "leading coefficient vanished at degree 9\n"
+    )
+
+
 def test_simulate_out_is_the_library_csv(capsys, tmp_path):
     circuit_path = str(tmp_path / "c.json")
     csv_path = tmp_path / "rows.csv"
@@ -295,6 +327,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "limspace", "bounds", "--fn", "slsb", "--n", "4"],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("gmax=0.25")
@@ -308,10 +341,8 @@ def test_classical_and_bounds_leave_scipy_unloaded():
         "assert cli.main(['classical', '--fn', 'maj', '--n', '5']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

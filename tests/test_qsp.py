@@ -46,8 +46,15 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error():
     assert angles.L == params.L
     params, _ = qsp.synthesize(boolfun.slsb_spec(4))
     assert params == qsp.signal_params_general(4)
+    # Anti-symmetric profiles whose majority-schedule system is infeasible
+    # fall back to the general schedule and return the params they used.
     with pytest.raises(qsp.SolveError, match="cos system residual"):
-        qsp.synthesize(boolfun.slsb_spec(7))
+        qsp.solve_ab(boolfun.slsb_spec(7), qsp.signal_params_maj(7))
+    params, angles = qsp.synthesize(boolfun.slsb_spec(7))
+    assert params == qsp.signal_params_general(7)
+    assert angles.L == params.L == 29
+    with pytest.raises(qsp.CompletionError, match="completion defect"):
+        qsp.synthesize(boolfun.SymmetricSpec(4, (0, 1, 1, 0, 0)))
 
 
 def test_trig_polynomial_evaluation_and_laurent():
@@ -180,6 +187,29 @@ def test_angle_sequence_shape():
     seq = qsp.AngleSequence([0.1, 0.2, 0.3])
     assert seq.L == 2
     assert seq.tolist() == pytest.approx([0.1, 0.2, 0.3])
+
+
+def test_angle_finding_rejects_a_padded_quadruple():
+    quad = _solved_quadruple(boolfun.maj_spec(3), qsp.signal_params_maj(3))
+    parts = (quad.a, quad.b, quad.c, quad.d)
+    padded = qsp.QspQuadruple(
+        *(qsp.TrigPolynomial(p.kind, np.append(p.coeffs, 0.0)) for p in parts)
+    )
+    assert padded.L == quad.L + 2
+    with pytest.raises(qsp.AngleFindingError, match="coefficient vanished at degree 9"):
+        qsp.find_angles(padded)
+
+
+def test_batched_evaluation_matches_per_angle_evaluation():
+    quad = _solved_quadruple(boolfun.slsb_spec(4), qsp.signal_params_general(4))
+    angles = qsp.find_angles(quad)
+    phis = np.random.default_rng(7).uniform(-2 * math.pi, 2 * math.pi, size=(4, 25))
+    for evaluate in (lambda p: qsp.reconstruct(angles, p), quad.matrix):
+        batched = evaluate(phis)
+        assert batched.shape == (4, 25, 2, 2)
+        stacked = np.array([[evaluate(float(p)) for p in row] for row in phis])
+        np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-14)
+        assert evaluate(0.37).shape == (2, 2)
 
 
 @given(st.lists(st.floats(min_value=-6, max_value=6), min_size=2, max_size=10))

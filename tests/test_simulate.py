@@ -23,17 +23,6 @@ def test_noise_model_validation():
         simulate.NoiseModel(-0.1)
 
 
-def test_evaluate_single_inputs():
-    empty = circuits.LimitedSpaceCircuit(n=3, gates=())
-    v, p = simulate.evaluate(empty, (0, 1, 0))
-    assert np.array_equal(v, np.eye(2))
-    assert p == 0.0
-    _, p = simulate.evaluate(circuits.slsb_relative(3), (1, 1, 0))
-    assert p == pytest.approx(1.0, abs=1e-12)
-    _, p = simulate.evaluate(circuits.builtin_slsb3_fig1(), (1, 1, 1))
-    assert p == pytest.approx(1.0, abs=1e-9)
-
-
 def test_asp_requires_matching_arity():
     with pytest.raises(ValueError):
         simulate.asp(circuits.slsb_relative(3), boolfun.slsb(4))
