@@ -59,18 +59,11 @@ def _word(c, bits):
 
 def test_circuit_word_and_words_agree():
     empty = circuits.LimitedSpaceCircuit(n=3, gates=())
-    relative = circuits.slsb_relative(3)
-    fig1 = circuits.builtin_slsb3_fig1()
-    for c in (empty, relative, fig1):
+    for c in (empty, circuits.slsb_relative(3), circuits.builtin_slsb3_fig1()):
         allwords = c.words()
         for idx in range(8):
             bits = [(idx >> i) & 1 for i in range(3)]
             assert np.allclose(allwords[idx], _word(c, bits), atol=1e-12)
-    # Pinned inputs, index sum x_i 2^(i-1): the empty circuit's word on
-    # x = 010 is I, and both slsb circuits measure 1 on x = 110 and 111.
-    assert np.array_equal(empty.words()[0b010], np.eye(2))
-    assert abs(relative.words()[0b011, 1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(fig1.words()[0b111, 1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_json_round_trip_is_bit_exact():

@@ -23,6 +23,19 @@ def test_noise_model_validation():
         simulate.NoiseModel(-0.1)
 
 
+def test_evaluate_single_inputs():
+    # words() is indexed by sum x_i 2^(i-1); entry [1, 0] is the amplitude
+    # of measuring 1 on the work qubit.
+    empty = circuits.LimitedSpaceCircuit(n=3, gates=())
+    v = empty.words()[0b010]
+    assert np.array_equal(v, np.eye(2))
+    assert abs(v[1, 0]) ** 2 == 0.0
+    v = circuits.slsb_relative(3).words()[0b011]
+    assert abs(v[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    v = circuits.builtin_slsb3_fig1().words()[0b111]
+    assert abs(v[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
 def test_asp_requires_matching_arity():
     with pytest.raises(ValueError):
         simulate.asp(circuits.slsb_relative(3), boolfun.slsb(4))
