@@ -1,0 +1,149 @@
+"""Digest the output of a fixed corpus of `limspace` command lines.
+
+Runs each command line in-process through `limspace.cli.main` and prints
+one line per call: the sha256 of its stdout, stderr, exit code and the
+file it wrote (if any), then the command line.  A refactor that must not
+change the CLI is checked by running this script on both checkouts and
+diffing the two listings:
+
+    PYTHONPATH=<old checkout>/src python3 scripts/cli_identity.py > old.txt
+    PYTHONPATH=src python3 scripts/cli_identity.py > new.txt
+    diff old.txt new.txt
+
+Every written path lies under --workdir (default: a fixed directory in
+the system temp dir), so both runs print the same paths.  The corpus:
+classical, bounds and synth (text, JSON, --out) for every named family
+at n = 3..7; synth --format json for every symmetric profile with
+n <= 7; simulate of each written circuit with --eps/--shots/--seed,
+JSON and --out; direct synthesis at n = 4, 6, 12; crossover; usage and
+argparse errors.  It takes a few minutes.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import shlex
+import tempfile
+
+from limspace import boolfun, cli
+
+# Fixed here rather than read from cli, so both checkouts run the same corpus.
+FAMILIES = ("slsb", "maj", "ip", "parity", "const0", "const1")
+NOISE = ["--eps", "0.1", "--shots", "500", "--seed", "7"]
+
+
+def _synth_and_simulate(workdir, tag, synth, target):
+    """synth text, JSON and --out, then simulate of the written circuit."""
+    circuit = os.path.join(workdir, f"{tag}.json")
+    csv = os.path.join(workdir, f"{tag}.csv")
+    simulate = ["simulate", "--circuit", circuit, *target]
+    return [
+        synth,
+        synth + ["--format", "json"],
+        synth + ["--out", circuit],
+        simulate + NOISE,
+        simulate + NOISE + ["--format", "json"],
+        simulate + ["--out", csv],
+    ]
+
+
+def corpus(workdir):
+    calls = []
+    for fn, n in itertools.product(FAMILIES, range(3, 8)):
+        target = ["--fn", fn, "--n", str(n)]
+        for command in ("classical", "bounds"):
+            calls += [[command, *target], [command, *target, "--format", "json"]]
+        calls += _synth_and_simulate(workdir, f"{fn}{n}", ["synth", *target], target)
+    for n in range(1, 8):
+        for values in itertools.product((0, 1), repeat=n + 1):
+            f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
+            calls.append(["synth", "--table", f.to_hex(), "--n", str(n), "--format", "json"])
+    for fn, n in itertools.product(("slsb", "ip"), (4, 6, 12)):
+        target = ["--fn", fn, "--n", str(n)]
+        synth = ["synth", "--method", "direct", *target]
+        calls += _synth_and_simulate(workdir, f"direct_{fn}{n}", synth, target)
+    for family, eps in itertools.product(("ip", "slsb"), ("0.0", "0.1", "0.15", "0.25")):
+        calls.append(["crossover", "--eps", eps, "--family", family])
+    calls.append(["crossover", "--eps", "0.15", "--format", "json"])
+    broken = os.path.join(workdir, "broken.json")
+    calls += [
+        ["classical", "--fn", "maj"],
+        ["classical", "--fn", "maj", "--table", "E8", "--n", "3"],
+        ["classical", "--n", "3"],
+        ["classical", "--fn", "slsb", "--n", "11"],
+        ["classical", "--table", "XYZ", "--n", "3"],
+        ["bounds", "--fn", "slsb", "--n", "0"],
+        ["synth", "--fn", "maj", "--n", "3", "--method", "direct"],
+        ["synth", "--fn", "slsb", "--n", "3", "--method", "direct", "--asp-tol=-1e-9"],
+        ["synth", "--fn", "maj", "--n", "3", "--out", os.path.join(workdir, "no", "c.json")],
+        ["simulate", "--fn", "maj", "--n", "3"],
+        ["simulate", "--circuit", os.path.join(workdir, "missing.json"), "--fn", "maj",
+         "--n", "3"],
+        ["simulate", "--circuit", broken, "--fn", "maj", "--n", "3"],
+        ["simulate", "--circuit", os.path.join(workdir, "maj3.json"), "--fn", "maj",
+         "--n", "5"],
+        ["crossover"],
+        ["crossover", "--eps", "-0.1"],
+        ["frobnicate"],
+        [],
+        ["simulate", "--fn", "nope", "--n", "3"],
+        ["simulate", "--fn", "slsb", "--n", "three"],
+        ["simulate", "--fn", "slsb", "--n", "3", "--seed", "x"],
+        ["--help"],
+        ["simulate", "--help"],
+    ]
+    return calls, broken
+
+
+def _written(argv):
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def run(argv):
+    """sha256 over stdout, stderr, exit code and the written file of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an outcome too
+            code = f"{type(exc).__name__}: {exc}"
+    parts = [out.getvalue().encode(), err.getvalue().encode(), str(code).encode()]
+    path = _written(argv)
+    if path is not None:
+        parts.append(path.encode())
+        parts.append(open(path, "rb").read() if os.path.exists(path) else b"<missing>")
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "big"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--workdir",
+        default=os.path.join(tempfile.gettempdir(), "limspace_cli_identity"),
+        help="directory for the files the corpus writes (same on both runs)",
+    )
+    args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"  # fixes the --help line width
+    os.makedirs(args.workdir, exist_ok=True)
+    calls, broken = corpus(args.workdir)
+    for argv in calls:
+        path = _written(argv)
+        if path is not None and os.path.exists(path):
+            os.remove(path)
+    with open(broken, "w") as fh:
+        fh.write("{ not json")
+    for argv in calls:
+        print(f"{run(argv)}  {shlex.join(argv)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -103,9 +103,6 @@ class SymmetricSpec:
     def value_at_weight(self, w: int) -> int:
         return self.by_weight[w]
 
-    def complement(self) -> SymmetricSpec:
-        return SymmetricSpec(self.n, tuple(1 - v for v in self.by_weight))
-
 
 def popcount(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values)

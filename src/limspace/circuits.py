@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -461,8 +461,7 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     regrouping within runs whose actions all pairwise commute, where
     reordering is free.  Identity gates are dropped; phase multiples of
     the identity are kept because a controlled phase changes the word.
-    The result is verified against the input on every input when n is
-    small enough to enumerate.
+    The result is verified against the input on every input.
     """
     gates = list(c.gates)
     while True:
@@ -474,8 +473,7 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     merged = LimitedSpaceCircuit(
         n=c.n, gates=tuple(gates), phase_convention=c.phase_convention
     )
-    if c.n <= 12:
-        defect = np.max(np.abs(merged.words() - c.words()))
-        if defect > 1e-10:
-            raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
+    defect = np.max(np.abs(merged.words() - c.words()))
+    if defect > 1e-10:
+        raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
     return merged

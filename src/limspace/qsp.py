@@ -78,13 +78,14 @@ def signal_params_maj(n: int) -> SignalParams:
     return SignalParams(2 * pi / (n + 1), (pi / 2) * (n - 1) / (n + 1), 2 * n + 1, True)
 
 
-def signal_params(f: SymmetricSpec) -> SignalParams:
-    """Majority schedule iff f(w) = 1 - f(n - w) at every weight, else general.
+def _majority_symmetric(by_weight) -> bool:
+    """f(w) xor f(n - w) = 1 at every weight; invariant under complementing f."""
+    return all(a ^ b == 1 for a, b in zip(by_weight, reversed(by_weight)))
 
-    The test is invariant under complementing f, so it needs no flip.
-    """
-    v = f.by_weight
-    if all(v[w] ^ v[f.n - w] == 1 for w in range(f.n + 1)):
+
+def signal_params(f: SymmetricSpec) -> SignalParams:
+    """Majority schedule iff f(w) = 1 - f(n - w) at every weight, else general."""
+    if _majority_symmetric(f.by_weight):
         return signal_params_maj(f.n)
     return signal_params_general(f.n)
 
@@ -180,7 +181,7 @@ def solve_ab(
     b_target = np.asarray(values, dtype=float)
 
     if params.maj_symmetry:
-        if any(values[i] ^ values[n - i] != 1 for i in range(n + 1)):
+        if not _majority_symmetric(values):
             raise SolveError("maj shortcut needs f(w) + f(n-w) = 1 at every weight")
         a = _solve_pinned("cos", phis, a_target, params.L)
         # B(t) = A(-it): in half-angle series b_k = (-1)^k a_k.

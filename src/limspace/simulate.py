@@ -202,12 +202,10 @@ class DeterminantCertificate:
     witness: AffineWitness
 
 
-def linearity_certificate(
-    c: LimitedSpaceCircuit, tol: float = _CLASSIFY_TOL
-) -> DeterminantCertificate:
+def linearity_certificate(c: LimitedSpaceCircuit) -> DeterminantCertificate:
     """Extract the affine function computed by an X-or-identity circuit.
 
-    Every word must be exactly X or I up to tol; otherwise the
+    Every word must be exactly X or I up to _CLASSIFY_TOL; otherwise the
     certificate does not apply and NotPhaseless is raised.  The
     extracted truth table is checked to be affine and the per-variable
     determinant phases are verified against it.  A failure of either
@@ -218,12 +216,12 @@ def linearity_certificate(
     dist_x = np.abs(words - _X).max(axis=(1, 2))
     dist_i = np.abs(words - _I2).max(axis=(1, 2))
     nearest = np.minimum(dist_x, dist_i)
-    if np.max(nearest) > tol:
+    if np.max(nearest) > _CLASSIFY_TOL:
         worst = int(np.argmax(nearest))
         raise NotPhaseless(
             f"word at input index {worst} is {nearest[worst]:.3e} from both X and I"
         )
-    truth = (dist_x <= tol).astype(np.uint8)
+    truth = (dist_x <= _CLASSIFY_TOL).astype(np.uint8)
     f = BooleanFunction(c.n, truth)
     witness = affine_test(f)
     if witness is None:
@@ -243,7 +241,7 @@ def linearity_certificate(
     f0 = int(truth[0])
     for p in range(c.n):
         expected = (-1.0) ** (int(truth[1 << p]) ^ f0)
-        if abs(np.exp(1j * gamma[p]) - expected) > tol:
+        if abs(np.exp(1j * gamma[p]) - expected) > _CLASSIFY_TOL:
             raise TheoryViolation(
                 f"determinant phase for bit {p + 1} disagrees with the truth table"
             )

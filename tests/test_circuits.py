@@ -220,6 +220,17 @@ def test_merge_shrinks_the_true_circuit_below_its_printed_size():
         assert result.classification is simulate.Classification.TRUE_IMPL
 
 
+def test_merge_verifies_above_twelve_inputs(monkeypatch):
+    c = circuits.slsb_relative(13)
+    assert circuits.merge_adjacent(c).n == 13
+    commuting_runs = circuits._pass_commuting_runs
+    monkeypatch.setattr(
+        circuits, "_pass_commuting_runs", lambda gates: commuting_runs(gates)[1:]
+    )
+    with pytest.raises(RuntimeError, match="merge changed the circuit"):
+        circuits.merge_adjacent(c)
+
+
 _GATE_POOL = ("h", "x", "z", "s")
 
 

@@ -287,6 +287,46 @@ def test_output_is_deterministic_for_a_fixed_seed(capsys, tmp_path):
     assert out_a != out_c
 
 
+def test_main_builds_the_parser_once(capsys, tmp_path, monkeypatch):
+    path = str(tmp_path / "slsb3.json")
+    code, _, _ = _run(capsys, ["synth", "--fn", "slsb", "--n", "3", "--method", "direct",
+                               "--out", path])
+    assert code == 0
+
+    def rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    for argv in (
+        ["bounds", "--fn", "slsb", "--n", "4"],
+        ["classical", "--fn", "maj", "--n", "3"],
+        ["simulate", "--circuit", path, "--fn", "slsb", "--n", "3"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+
+
+def test_only_simulate_takes_a_seed(capsys):
+    for argv in (
+        ["classical", "--fn", "maj", "--n", "3"],
+        ["synth", "--fn", "maj", "--n", "3"],
+        ["bounds", "--fn", "maj", "--n", "3"],
+        ["crossover", "--eps", "0.1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "1"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main([argv[0], "--help"])
+        assert "--seed" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--seed SEED" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         ["classical", "--fn", "maj"],
