@@ -16,7 +16,8 @@ classical, bounds and synth (text, JSON, --out) for every named family
 at n = 3..7; synth --format json for every symmetric profile with
 n <= 7; simulate of each written circuit with --eps/--shots/--seed,
 JSON and --out; direct synthesis at n = 4, 6, 12; crossover; usage and
-argparse errors.  It takes a few minutes.
+argparse errors, and simulate of malformed circuit files.  It takes a
+few minutes.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import shlex
 import tempfile
@@ -33,6 +35,22 @@ from limspace import boolfun, cli
 # Fixed here rather than read from cli, so both checkouts run the same corpus.
 FAMILIES = ("slsb", "maj", "ip", "parity", "const0", "const1")
 NOISE = ["--eps", "0.1", "--shots", "500", "--seed", "7"]
+
+
+def _circuit_text(n=3, gates=None):
+    if gates is None:
+        gates = [{"control": 1, "name": "x", "angle": None, "matrix": None, "label": "x"}]
+    return json.dumps({"n": n, "phase_convention": "", "gates": gates})
+
+
+# Circuit files that simulate must refuse as a bad circuit file.
+MALFORMED = {
+    "control_float": _circuit_text(gates=[{"name": "x", "control": 1.5}]),
+    "control_bool": _circuit_text(gates=[{"name": "x", "control": True}]),
+    "angle_text": _circuit_text(gates=[{"name": "rx", "angle": "abc"}]),
+    "n_float": _circuit_text(n=3.0),
+    "gates_text": _circuit_text(gates="xx"),
+}
 
 
 def _synth_and_simulate(workdir, tag, synth, target):
@@ -69,6 +87,7 @@ def corpus(workdir):
         calls.append(["crossover", "--eps", eps, "--family", family])
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])
     broken = os.path.join(workdir, "broken.json")
+    files = {broken: "{ not json"}
     calls += [
         ["classical", "--fn", "maj"],
         ["classical", "--fn", "maj", "--table", "E8", "--n", "3"],
@@ -95,7 +114,11 @@ def corpus(workdir):
         ["--help"],
         ["simulate", "--help"],
     ]
-    return calls, broken
+    for name, text in MALFORMED.items():
+        path = os.path.join(workdir, f"{name}.json")
+        files[path] = text
+        calls.append(["simulate", "--circuit", path, "--fn", "maj", "--n", "3"])
+    return calls, files
 
 
 def _written(argv):
@@ -134,13 +157,14 @@ def main():
     args = parser.parse_args()
     os.environ["COLUMNS"] = "80"  # fixes the --help line width
     os.makedirs(args.workdir, exist_ok=True)
-    calls, broken = corpus(args.workdir)
+    calls, files = corpus(args.workdir)
     for argv in calls:
         path = _written(argv)
         if path is not None and os.path.exists(path):
             os.remove(path)
-    with open(broken, "w") as fh:
-        fh.write("{ not json")
+    for path, text in files.items():
+        with open(path, "w") as fh:
+            fh.write(text)
     for argv in calls:
         print(f"{run(argv)}  {shlex.join(argv)}", flush=True)
 

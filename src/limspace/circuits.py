@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +26,21 @@ import numpy as np
 from .boolfun import SymmetricSpec
 from .qsp import AngleSequence, SignalParams, _rx, _rz
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+_I2 = _frozen(np.eye(2, dtype=complex))
+
+# Shared by every gate and word that uses them, so they are read-only.
 _NAMED = {
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "h": _frozen(np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
+    "x": _frozen(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "z": _frozen(np.array([[1, 0], [0, -1]], dtype=complex)),
+    "s": _frozen(np.array([[1, 0], [0, 1j]], dtype=complex)),
 }
 _ROTATIONS = ("rx", "ry", "rz")
 _GATE_NAMES = _ROTATIONS + tuple(_NAMED) + ("matrix",)
@@ -44,6 +52,18 @@ def _ry(theta: float) -> np.ndarray:
 
 
 _ROTATION_MATRIX = {"rx": _rx, "ry": _ry, "rz": _rz}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +79,24 @@ class GateSpec:
     angle: float | None = None
     matrix: np.ndarray | None = None
     label: str = ""
+    _action: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.name not in _GATE_NAMES:
             raise ValueError(f"unknown gate name {self.name!r}")
+        if self.control is not None and not _is_int(self.control):
+            raise ValueError(f"control must be an integer, got {self.control!r}")
+        if self.control is not None and self.control < 1:
+            raise ValueError("control index is 1-based")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.name in _ROTATIONS:
             if self.angle is None:
                 raise ValueError(f"{self.name} gate needs an angle")
+            if not _is_finite_real(self.angle):
+                raise ValueError(
+                    f"{self.name} angle must be a finite number, got {self.angle!r}"
+                )
         elif self.angle is not None:
             raise ValueError(f"{self.name} gate takes no angle")
         if self.name == "matrix":
@@ -74,16 +105,21 @@ class GateSpec:
             m = np.array(self.matrix, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("gate matrix must be 2x2")
+            if not np.isfinite(m).all():
+                raise ValueError("gate matrix entries must be finite")
             if np.linalg.norm(m @ m.conj().T - _I2) > 1e-10:
                 raise ValueError("gate matrix is not unitary")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", _frozen(m))
             if not self.label:
                 raise ValueError("matrix gate needs a label")
+            action = self.matrix
         elif self.matrix is not None:
             raise ValueError(f"{self.name} gate takes no explicit matrix")
-        if self.control is not None and self.control < 1:
-            raise ValueError("control index is 1-based")
+        elif self.name in _ROTATIONS:
+            action = _frozen(_ROTATION_MATRIX[self.name](self.angle))
+        else:
+            action = _NAMED[self.name]
+        object.__setattr__(self, "_action", action)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -94,12 +130,8 @@ class GateSpec:
 
     @property
     def action(self) -> np.ndarray:
-        """The gate's 2x2 unitary."""
-        if self.name == "matrix":
-            return self.matrix
-        if self.name in _ROTATIONS:
-            return _ROTATION_MATRIX[self.name](self.angle)
-        return _NAMED[self.name]
+        """The gate's 2x2 unitary, built once and read-only."""
+        return self._action
 
     @classmethod
     def rotation(cls, axis: str, angle: float, control: int | None = None) -> "GateSpec":
@@ -129,7 +161,10 @@ class GateSpec:
     def from_json_dict(cls, data: dict) -> "GateSpec":
         matrix = None
         if data.get("matrix") is not None:
-            flat = [complex(re, im) for re, im in data["matrix"]]
+            try:
+                flat = [complex(re, im) for re, im in data["matrix"]]
+            except TypeError as err:
+                raise ValueError(f"matrix entries must be [re, im] pairs: {err}") from err
             matrix = np.array(flat, dtype=complex).reshape(2, 2)
         return cls(
             name=data["name"],
@@ -166,8 +201,11 @@ class LimitedSpaceCircuit:
     n: int
     gates: tuple[GateSpec, ...]
     phase_convention: str = ""
+    _words: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one input bit")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -179,16 +217,22 @@ class LimitedSpaceCircuit:
         return len(self.gates)
 
     def words(self) -> np.ndarray:
-        """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1)."""
-        idx = np.arange(1 << self.n)
-        out = np.broadcast_to(_I2, (idx.size, 2, 2)).copy()
-        for g in self.gates:
-            if g.control is None:
-                out = np.einsum("ij,njk->nik", g.action, out)
-            else:
-                mask = (idx >> (g.control - 1)) & 1 == 1
-                out[mask] = np.einsum("ij,njk->nik", g.action, out[mask])
-        return out
+        """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1).
+
+        Computed on the first call; every call returns that read-only array.
+        """
+        if self._words is None:
+            idx = np.arange(1 << self.n)
+            masks = [(idx >> k) & 1 == 1 for k in range(self.n)]
+            out = np.broadcast_to(_I2, (idx.size, 2, 2)).copy()
+            for g in self.gates:
+                if g.control is None:
+                    out = np.einsum("ij,njk->nik", g.action, out)
+                else:
+                    mask = masks[g.control - 1]
+                    out[mask] = np.einsum("ij,njk->nik", g.action, out[mask])
+            object.__setattr__(self, "_words", _frozen(out))
+        return self._words
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,9 +246,14 @@ class LimitedSpaceCircuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LimitedSpaceCircuit":
+        if not isinstance(data, dict):
+            raise ValueError("circuit must be a JSON object")
+        gates = data["gates"]
+        if not isinstance(gates, list) or not all(isinstance(g, dict) for g in gates):
+            raise ValueError("gates must be a list of objects")
         return cls(
             n=data["n"],
-            gates=tuple(GateSpec.from_json_dict(g) for g in data["gates"]),
+            gates=tuple(GateSpec.from_json_dict(g) for g in gates),
             phase_convention=data.get("phase_convention", ""),
         )
 
@@ -357,13 +406,16 @@ def compile_qsp(
     """
     if xi.L != params.L:
         raise ValueError(f"angle sequence has L={xi.L} but params expect L={params.L}")
+    # The n*L signal gates share one angle, so their label is formatted once.
+    signal = GateSpec.rotation("x", params.step)
     gates = []
     for j in range(params.L, 0, -1):
         angle = float(xi.xi[j])
         if angle != 0.0:
             gates.append(GateSpec.rotation("z", -angle))
         gates.extend(
-            GateSpec.rotation("x", params.step, control=k) for k in range(1, f.n + 1)
+            GateSpec("rx", control=k, angle=signal.angle, label=signal.label)
+            for k in range(1, f.n + 1)
         )
         if params.offset != 0.0:
             gates.append(GateSpec.rotation("x", -params.offset))
@@ -422,20 +474,30 @@ def _pass_same_control_runs(gates: list[GateSpec]) -> list[GateSpec]:
 
 
 def _pass_commuting_runs(gates: list[GateSpec]) -> list[GateSpec]:
-    """Group same-control gates inside maximal pairwise-commuting runs."""
+    """Group same-control gates inside maximal pairwise-commuting runs.
+
+    A candidate bitwise equal to an action already in the run joins it
+    unchecked: it commutes with itself, and against every other member
+    its commutator is its twin's up to sign, whose norm was already
+    checked.  Keying the run by action bytes also checks a new action
+    once per distinct member.
+    """
     out: list[GateSpec] = []
     i = 0
     while i < len(gates):
-        actions = [gates[i].action]
+        first = gates[i].action
+        actions = {first.tobytes(): first}
         j = i + 1
         while j < len(gates):
             candidate = gates[j].action
-            if any(
-                np.linalg.norm(candidate @ a - a @ candidate) > _MERGE_TOL
-                for a in actions
-            ):
-                break
-            actions.append(candidate)
+            key = candidate.tobytes()
+            if key not in actions:
+                if any(
+                    np.linalg.norm(candidate @ a - a @ candidate) > _MERGE_TOL
+                    for a in actions.values()
+                ):
+                    break
+                actions[key] = candidate
             j += 1
         run = gates[i:j]
         by_control: dict[int | None, list[GateSpec]] = {}

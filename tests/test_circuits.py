@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -27,6 +28,28 @@ def test_gate_spec_validation():
         circuits.GateSpec(name="h", control=0)
     with pytest.raises(ValueError):
         circuits.GateSpec(name="h", matrix=np.eye(2))
+    malformed = [
+        dict(name="x", control=1.5),
+        dict(name="x", control=True),
+        dict(name="x", control="1"),
+        dict(name="rx", angle="abc"),
+        dict(name="rx", angle=float("nan")),
+        dict(name="rz", angle=float("inf")),
+        dict(name="ry", angle=True),
+        dict(name="matrix", matrix=np.full((2, 2), np.nan), label="m"),
+        dict(name="h", label=3),
+    ]
+    for kwargs in malformed:
+        with pytest.raises(ValueError):
+            circuits.GateSpec(**kwargs)
+    for n in (2.0, True, "3"):
+        with pytest.raises(ValueError):
+            circuits.LimitedSpaceCircuit(n=n, gates=())
+    for data in ([], {"n": 1, "gates": "xx"}, {"n": 1, "gates": [["x"]]}):
+        with pytest.raises(ValueError):
+            circuits.LimitedSpaceCircuit.from_json_dict(data)
+    gate = circuits.GateSpec(name="rx", angle=np.float64(0.5), control=np.int64(2))
+    assert gate.control == 2
 
 
 def test_gate_default_labels():
@@ -314,3 +337,107 @@ def test_compile_qsp_rejects_mismatched_degree():
     xi = qsp.AngleSequence(np.zeros(4))
     with pytest.raises(ValueError):
         circuits.compile_qsp(spec, xi, params)
+
+
+def test_words_are_computed_once_and_read_only():
+    c = circuits.slsb_true(4)
+    words = c.words()
+    assert words is c.words()
+    assert simulate.asp(c, boolfun.slsb(4)).words is words
+    with pytest.raises(ValueError):
+        words[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        circuits.GateSpec.named("h").action[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        circuits.GateSpec.rotation("x", 0.5).action[0, 0] = 2.0
+    for shared in (circuits._I2, *circuits._NAMED.values(), simulate._I2, simulate._X,
+                   simulate._IX):
+        assert not shared.flags.writeable
+
+
+def _words_mask_per_gate(c):
+    """The words() kernel that rebuilt each gate's control mask."""
+    idx = np.arange(1 << c.n)
+    out = np.broadcast_to(np.eye(2, dtype=complex), (idx.size, 2, 2)).copy()
+    for g in c.gates:
+        if g.control is None:
+            out = np.einsum("ij,njk->nik", g.action, out)
+        else:
+            mask = (idx >> (g.control - 1)) & 1 == 1
+            out[mask] = np.einsum("ij,njk->nik", g.action, out[mask])
+    return out
+
+
+def _commuting_runs_all_pairs(gates):
+    """The commuting-run pass that checked each candidate against every member."""
+    out = []
+    i = 0
+    while i < len(gates):
+        actions = [gates[i].action]
+        j = i + 1
+        while j < len(gates):
+            candidate = gates[j].action
+            if any(
+                np.linalg.norm(candidate @ a - a @ candidate) > circuits._MERGE_TOL
+                for a in actions
+            ):
+                break
+            actions.append(candidate)
+            j += 1
+        by_control = {}
+        for g in gates[i:j]:
+            by_control.setdefault(g.control, []).append(g)
+        for run in by_control.values():
+            merged = circuits._merged_gate(run)
+            if merged is not None:
+                out.append(merged)
+        i = j
+    return out
+
+
+@pytest.fixture(scope="module")
+def compiled_profiles():
+    """(raw, merged) for every symmetric profile with n <= 5 that synthesizes.
+
+    synthesize complements a profile with f(0) = 1 before solving, so a
+    profile and its complement share params and angles; each pair is
+    synthesized once and compiled twice.
+    """
+    out = []
+    for n in range(1, 6):
+        for tail in itertools.product((0, 1), repeat=n):
+            spec = boolfun.SymmetricSpec(n, (0, *tail))
+            try:
+                params, xi = qsp.synthesize(spec)
+            except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError):
+                continue
+            for values in (spec.by_weight, tuple(1 - v for v in spec.by_weight)):
+                raw = circuits.compile_qsp(boolfun.SymmetricSpec(n, values), xi, params)
+                out.append((raw, circuits.merge_adjacent(raw)))
+    return out
+
+
+def _gate_bits(g):
+    matrix = None if g.matrix is None else g.matrix.tobytes()
+    return g.name, g.control, g.angle, g.label, matrix
+
+
+def _fixed_circuits():
+    return [circuits.slsb_true(8), circuits.ip_circuit(8), circuits.builtin_slsb3_fig1()]
+
+
+def test_words_are_bitwise_the_mask_per_gate_kernel(compiled_profiles):
+    assert len(compiled_profiles) > 100
+    fixed = [(c, circuits.merge_adjacent(c)) for c in _fixed_circuits()]
+    for pair in compiled_profiles + fixed:
+        for c in pair:
+            want = _words_mask_per_gate(c)
+            assert c.words().view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
+def test_merge_matches_the_all_pairs_commuting_pass(compiled_profiles, monkeypatch):
+    pairs = compiled_profiles + [(c, circuits.merge_adjacent(c)) for c in _fixed_circuits()]
+    monkeypatch.setattr(circuits, "_pass_commuting_runs", _commuting_runs_all_pairs)
+    for raw, got in pairs:
+        want = circuits.merge_adjacent(raw)
+        assert [_gate_bits(g) for g in got.gates] == [_gate_bits(g) for g in want.gates]

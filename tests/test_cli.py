@@ -348,12 +348,20 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
+    malformed = [
+        {"n": 3, "gates": [{"name": "x", "control": 1.5}]},
+        {"n": 3, "gates": [{"name": "x", "control": True}]},
+        {"n": 3, "gates": [{"name": "rx", "angle": "abc"}]},
+        {"n": 3.0, "gates": [{"name": "x", "control": 1}]},
+        {"n": 3, "gates": "xx"},
+    ]
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
-    code, _, err = _run(capsys, ["simulate", "--circuit", str(path),
-                                 "--fn", "maj", "--n", "3"])
-    assert code == 2
-    assert "bad circuit file" in err
+    for text in ["{ not json"] + [json.dumps(c) for c in malformed]:
+        path.write_text(text)
+        code, _, err = _run(capsys, ["simulate", "--circuit", str(path),
+                                     "--fn", "maj", "--n", "3"])
+        assert code == 2, text
+        assert err.startswith("error: bad circuit file"), text
 
 
 def test_argparse_rejects_unknown_subcommands(capsys):
