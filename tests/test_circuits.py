@@ -396,8 +396,9 @@ def _commuting_runs_all_pairs(gates):
 
 
 @pytest.fixture(scope="module")
-def compiled_profiles():
-    """(raw, merged) for every symmetric profile with n <= 5 that synthesizes.
+def raw_and_merged():
+    """(raw, merged) for every symmetric profile with n <= 5 that synthesizes,
+    then for slsb_true(8), ip_circuit(8) and the fig1 builtin.
 
     synthesize complements a profile with f(0) = 1 before solving, so a
     profile and its complement share params and angles; each pair is
@@ -414,7 +415,8 @@ def compiled_profiles():
             for values in (spec.by_weight, tuple(1 - v for v in spec.by_weight)):
                 raw = circuits.compile_qsp(boolfun.SymmetricSpec(n, values), xi, params)
                 out.append((raw, circuits.merge_adjacent(raw)))
-    return out
+    fixed = [circuits.slsb_true(8), circuits.ip_circuit(8), circuits.builtin_slsb3_fig1()]
+    return out + [(c, circuits.merge_adjacent(c)) for c in fixed]
 
 
 def _gate_bits(g):
@@ -422,22 +424,15 @@ def _gate_bits(g):
     return g.name, g.control, g.angle, g.label, matrix
 
 
-def _fixed_circuits():
-    return [circuits.slsb_true(8), circuits.ip_circuit(8), circuits.builtin_slsb3_fig1()]
-
-
-def test_words_are_bitwise_the_mask_per_gate_kernel(compiled_profiles):
-    assert len(compiled_profiles) > 100
-    fixed = [(c, circuits.merge_adjacent(c)) for c in _fixed_circuits()]
-    for pair in compiled_profiles + fixed:
+def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged):
+    assert len(raw_and_merged) > 100
+    for pair in raw_and_merged:
         for c in pair:
-            want = _words_mask_per_gate(c)
-            assert c.words().view(np.float64).tobytes() == want.view(np.float64).tobytes()
+            assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
 
 
-def test_merge_matches_the_all_pairs_commuting_pass(compiled_profiles, monkeypatch):
-    pairs = compiled_profiles + [(c, circuits.merge_adjacent(c)) for c in _fixed_circuits()]
+def test_merge_matches_the_all_pairs_commuting_pass(raw_and_merged, monkeypatch):
     monkeypatch.setattr(circuits, "_pass_commuting_runs", _commuting_runs_all_pairs)
-    for raw, got in pairs:
+    for raw, got in raw_and_merged:
         want = circuits.merge_adjacent(raw)
         assert [_gate_bits(g) for g in got.gates] == [_gate_bits(g) for g in want.gates]
