@@ -13,7 +13,7 @@ from limspace import boolfun, classical
 
 def _row(label, f):
     res = classical.approximation_ratio(f)
-    gmax = boolfun.spectral_max(f)
+    gmax = res.gmax
     lo = boolfun.classical_lower_bound(gmax)
     hi = boolfun.classical_upper_bound(gmax)
     ratio = res.value

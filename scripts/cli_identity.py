@@ -10,10 +10,14 @@ diffing the two listings:
     PYTHONPATH=src python3 scripts/cli_identity.py > new.txt
     diff old.txt new.txt
 
-Every written path lies under --workdir (default: a fixed directory in
-the system temp dir), so both runs print the same paths.  The corpus:
-classical, bounds and synth (text, JSON, --out) for every named family
-at n = 3..7; synth --format json for every symmetric profile with
+Give both runs the same BLAS thread count (for example
+OPENBLAS_NUM_THREADS=1): the synth results of polished profiles depend
+on it.  Every written path lies under --workdir (default: a fixed
+directory in the system temp dir), so both runs print the same paths.
+The corpus: classical, bounds and synth (text, JSON, --out) for every
+named family at n = 3..7; classical and bounds (text and JSON) on
+seeded non-symmetric tables at n = 7..10, uniform, sparse and
+near-affine; synth --format json for every symmetric profile with
 n <= 7; simulate of each written circuit with --eps/--shots/--seed,
 JSON and --out; direct synthesis at n = 4, 6, 12; crossover; usage and
 argparse errors, and simulate of malformed circuit files.  It takes a
@@ -30,11 +34,44 @@ import os
 import shlex
 import tempfile
 
+import numpy as np
+
 from limspace import boolfun, cli
 
 # Fixed here rather than read from cli, so both checkouts run the same corpus.
 FAMILIES = ("slsb", "maj", "ip", "parity", "const0", "const1")
 NOISE = ["--eps", "0.1", "--shots", "500", "--seed", "7"]
+TABLE_SEED = 20241018
+TABLES_PER_KIND = 40
+
+
+def _tables():
+    """Seeded non-symmetric truth tables at n = 7..10, as (n, hex) pairs.
+
+    Per arity, TABLES_PER_KIND each of: uniform bits, sparse bits (each
+    set with probability 0.1), and an affine function with 2 to 4 inputs
+    flipped.
+    """
+    rng = np.random.default_rng(TABLE_SEED)
+    out = []
+    for n in range(7, 11):
+        size = 1 << n
+        for kind in ("uniform", "sparse", "near-affine"):
+            made = 0
+            while made < TABLES_PER_KIND:
+                if kind == "uniform":
+                    bits = rng.integers(0, 2, size)
+                elif kind == "sparse":
+                    bits = rng.random(size) < 0.1
+                else:
+                    mask = int(rng.integers(0, size))
+                    bits = (np.bitwise_count(np.arange(size) & mask) & 1) ^ int(rng.integers(0, 2))
+                    bits[rng.choice(size, int(rng.integers(2, 5)), replace=False)] ^= 1
+                f = boolfun.BooleanFunction(n, bits)
+                if not f.is_symmetric():
+                    out.append((n, f.to_hex()))
+                    made += 1
+    return out
 
 
 def _circuit_text(n=3, gates=None):
@@ -75,6 +112,10 @@ def corpus(workdir):
         for command in ("classical", "bounds"):
             calls += [[command, *target], [command, *target, "--format", "json"]]
         calls += _synth_and_simulate(workdir, f"{fn}{n}", ["synth", *target], target)
+    for n, table in _tables():
+        target = ["--table", table, "--n", str(n)]
+        for command in ("classical", "bounds"):
+            calls += [[command, *target], [command, *target, "--format", "json"]]
     for n in range(1, 8):
         for values in itertools.product((0, 1), repeat=n + 1):
             f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))

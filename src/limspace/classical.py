@@ -9,16 +9,18 @@ function affine on each part.
 The exact best agreement is one array pass over all 3^n subcubes, where
 each variable is fixed to 0, fixed to 1 or free.  A per-axis butterfly
 gives every subcube's Walsh spectrum at once, the best affine fit of each
-subcube follows from its largest coefficient, and an in-place dynamic
-program over the subcubes adds the conditional resets.  The witness
-program is read back from the tables along one path from the full cube.
-Membership is the case of total agreement.
+subcube follows from its largest coefficient, and a dynamic program adds
+the conditional resets in one pass over the subcubes ordered by their
+number of free variables, where a move fixes one free variable.  The
+witness program is read back from the tables along one path from the
+full cube, on first access.  Membership is the case of total agreement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -188,9 +190,47 @@ class NormalFormProgram:
 
 @dataclass(frozen=True)
 class RatioResult:
+    """Exact best agreement of g, with its witness built on first access.
+
+    gmax is max_y |g_hat(y)|, read off the full cube's best affine fit:
+    the same integer numerator and the same float as `spectral_max`.
+    """
+
     value: Fraction
     agreements: int
-    witness: NormalFormProgram
+    gmax: float
+    _tables: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> NormalFormProgram:
+        return _witness(*self._tables)
+
+
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """Subcube sizes and the dynamic program's moves for arity n.
+
+    Returns the (3,)*n table of subcube sizes 2^m, m the free-variable
+    count, and for each level m = 1..n the flat indices of its subcubes S,
+    shape (count,), with the 2m moves of each: the half S|x_j=b that an
+    affine piece takes and the other half S|x_j=1-b, both shape
+    (count, 2m).  Built once per arity.
+    """
+    states = np.indices((3,) * n).reshape(n, -1).T
+    free = states == _FREE
+    level = free.sum(axis=1)
+    stride = 3 ** np.arange(n - 1, -1, -1)
+    size = (1 << level).astype(np.int32).reshape((3,) * n)
+    moves = []
+    for m in range(1, n + 1):
+        cube = np.flatnonzero(level == m)
+        step = stride[np.nonzero(free[cube])[1].reshape(-1, m)]
+        half1 = cube[:, None] - step
+        half0 = half1 - step
+        moves.append((cube, np.hstack((half0, half1)), np.hstack((half1, half0))))
+    for table in (size, *(t for move in moves for t in move)):
+        table.setflags(write=False)
+    return size, tuple(moves)
 
 
 def _subcube_spectra(g: BooleanFunction) -> np.ndarray:
@@ -199,28 +239,44 @@ def _subcube_spectra(g: BooleanFunction) -> np.ndarray:
     Axis k carries x_{n-k}, since C order puts x_1 last.  On each axis,
     states 0 and 1 fix the variable to that bit and states 2 and 3 leave
     it free with character bit 0 or 1, so each entry is the sum over one
-    subcube of (-1)^(g(x) + y.x).  |W| <= 2^n, so int32 is exact.
+    subcube of (-1)^(g(x) + y.x).  |W| <= 2^n, so int32 is exact.  Axes
+    go last to first, so that the larger steps copy longer runs, and
+    alternate between two buffers, so that the last step fills the larger.
     """
-    w = (1 - 2 * g.truth.astype(np.int32)).reshape((2,) * g.n)
-    for axis in range(g.n):
-        v0, v1 = w.take(0, axis), w.take(1, axis)
-        w = np.stack((v0, v1, v0 + v1, v0 - v1), axis=axis)
-    return w
+    n = g.n
+    w = 1 - 2 * g.truth.astype(np.int32)
+    buffers = (np.empty(4**n, dtype=np.int32), np.empty(4**n // 2, dtype=np.int32))
+    for axis in reversed(range(n)):
+        lead, rest = 2**axis, 4 ** (n - 1 - axis)
+        src = w.reshape(lead, 2, rest)
+        w = buffers[axis % 2][: 4 * lead * rest]
+        dst = w.reshape(lead, 4, rest)
+        dst[:, :2] = src
+        np.add(src[:, 0], src[:, 1], out=dst[:, 2])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 3])
+    return w.reshape((4,) * n)
 
 
 def _best_affine(w: np.ndarray) -> np.ndarray:
     """Agreements of the best affine fit on every subcube, shape (3,)*n.
 
     State 2 marks a free variable.  On a subcube with m free variables
-    the best fit agrees on (2^m + max_y |W(y)|) / 2 inputs.
+    the best fit agrees on (2^m + max_y |W(y)|) / 2 inputs.  Axes go
+    first to last, so that the larger steps copy longer runs, and alternate
+    between two buffers.
     """
-    top = np.abs(w)
-    size = np.ones((), dtype=np.int32)
-    for axis in range(w.ndim):
-        free = np.maximum(top.take(2, axis), top.take(3, axis))
-        top = np.stack((top.take(0, axis), top.take(1, axis), free), axis=axis)
-        size = np.multiply.outer(size, np.array([1, 1, 2], dtype=np.int32))
-    return (size + top) // 2
+    n = w.ndim
+    top = np.abs(w).ravel()
+    buffers = (np.empty(3 * 4 ** (n - 1), dtype=np.int32), top)
+    for axis in range(n):
+        lead, rest = 3**axis, 4 ** (n - 1 - axis)
+        src = top.reshape(lead, 4, rest)
+        top = buffers[axis % 2][: 3 * lead * rest]
+        dst = top.reshape(lead, 3, rest)
+        dst[:, :2] = src[:, :2]
+        np.maximum(src[:, 2], src[:, 3], out=dst[:, 2])
+    size, _ = _levels(n)
+    return (size + top.reshape((3,) * n)) // 2
 
 
 def _best_program(agree: np.ndarray) -> np.ndarray:
@@ -229,25 +285,17 @@ def _best_program(agree: np.ndarray) -> np.ndarray:
     Best(S) = max(A(S), max_{j,b} A(S|x_j=b) + Best(S|x_j=1-b)): either
     no conditional reset fires on S, or the last one to fire splits off an
     affine piece on a half of S and the rest of the program acts on the
-    other half.  Each sweep relaxes the free slice of every axis in place.
-    Values are always achievable and only rise, and after k sweeps every
-    subcube with at most k+1 free variables is exact, so n-1 sweeps do.
-    A sweep that leaves the sum unchanged moved no entry, so the table
-    already solves the recursion, whose solution is unique: stop there.
+    other half.  Both halves have one free variable fewer than S, so one
+    pass over the levels m = 1..n of free-variable count is exact: each
+    level reads only the finished level below it.  A single point is its
+    own best affine fit.
     """
-    n = agree.ndim
-    best = agree.copy()
-    total = int(best.sum())
-    for _ in range(n - 1):
-        for axis in range(n):
-            lead = (slice(None),) * axis
-            free = best[lead + (_FREE,)]
-            np.maximum(free, agree[lead + (0,)] + best[lead + (1,)], out=free)
-            np.maximum(free, agree[lead + (1,)] + best[lead + (0,)], out=free)
-        total, before = int(best.sum()), total
-        if total == before:
-            break
-    return best
+    _, moves = _levels(agree.ndim)
+    flat = agree.ravel()
+    best = flat.copy()
+    for cube, piece, rest in moves:
+        best[cube] = np.maximum(flat[cube], (flat[piece] + best[rest]).max(axis=1))
+    return best.reshape(agree.shape)
 
 
 def _with(cube: tuple[int, ...], axis: int, state: int) -> tuple[int, ...]:
@@ -293,15 +341,20 @@ def _witness(w: np.ndarray, agree: np.ndarray, best: np.ndarray) -> NormalFormPr
 
 
 def approximation_ratio(g: BooleanFunction) -> RatioResult:
-    """Exact best agreement fraction over all scratch-bit programs."""
+    """Exact best agreement fraction over all scratch-bit programs.
+
+    The result keeps the subcube tables, so its witness is read back only
+    when a caller asks for it.
+    """
     if g.n > RATIO_MAX_ARITY:
         raise ValueError(f"exact ratio supported for n <= {RATIO_MAX_ARITY}")
     w = _subcube_spectra(g)
     agree = _best_affine(w)
     best = _best_program(agree)
-    agreements = int(best[(_FREE,) * g.n])
-    witness = _witness(w, agree, best)
-    return RatioResult(Fraction(agreements, 1 << g.n), agreements, witness)
+    full = (_FREE,) * g.n
+    agreements = int(best[full])
+    gmax = (2 * int(agree[full]) - (1 << g.n)) / float(1 << g.n)
+    return RatioResult(Fraction(agreements, 1 << g.n), agreements, gmax, (w, agree, best))
 
 
 def omega_membership(f: BooleanFunction) -> NormalFormProgram | None:

@@ -2,9 +2,12 @@
 
 One binary with subcommands.  Exit codes: 0 on success, 1 when a
 verification gate fails (ASP below tolerance, synthesis residuals), 2
-on usage or IO problems.  Output depends only on the command line: the
-one random draw, the Monte Carlo estimate of `simulate --shots`, is
-seeded by --seed (default 20240614), which only `simulate` accepts.
+on usage or IO problems.  The one random draw, the Monte Carlo estimate
+of `simulate --shots`, is seeded by --seed (default 20240614), which only
+`simulate` accepts.  Output depends only on the command line, except
+where `synth` polishes a profile's interpolant: that SLSQP solve runs on
+the BLAS, so its coefficients, and with them whether completion succeeds,
+depend on the BLAS build, the CPU and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -205,12 +208,14 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 def cmd_bounds(cfg: argparse.Namespace) -> int:
     f = _resolve_function(cfg)
-    gmax = boolfun.spectral_max(f)
-    lower = boolfun.classical_lower_bound(gmax)
-    upper = boolfun.classical_upper_bound(gmax)
     exact: Fraction | None = None
     if f.n <= classical.RATIO_MAX_ARITY:
-        exact = classical.approximation_ratio(f).value
+        res = classical.approximation_ratio(f)
+        gmax, exact = res.gmax, res.value
+    else:
+        gmax = boolfun.spectral_max(f)
+    lower = boolfun.classical_lower_bound(gmax)
+    upper = boolfun.classical_upper_bound(gmax)
     exact_text = "n/a" if exact is None else str(float(exact))
     lines = [f"gmax={gmax}, lower={lower}, upper={upper}, exact={exact_text}"]
     payload = {

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -174,3 +175,79 @@ def test_hardest_symmetric_beyond_six(n, want):
     assert value == want
     assert len(ties) == 4
     assert boolfun.slsb_spec(n).by_weight in {spec.by_weight for spec in ties}
+
+
+# Reference copies of the ratio kernels as they stood before the
+# level-ordered pass: np.stack of per-axis take copies, and a dynamic
+# program relaxing every axis in place until the table's sum stops moving.
+
+
+def _reference_subcube_spectra(g):
+    w = (1 - 2 * g.truth.astype(np.int32)).reshape((2,) * g.n)
+    for axis in range(g.n):
+        v0, v1 = w.take(0, axis), w.take(1, axis)
+        w = np.stack((v0, v1, v0 + v1, v0 - v1), axis=axis)
+    return w
+
+
+def _reference_best_affine(w):
+    top = np.abs(w)
+    size = np.ones((), dtype=np.int32)
+    for axis in range(w.ndim):
+        free = np.maximum(top.take(2, axis), top.take(3, axis))
+        top = np.stack((top.take(0, axis), top.take(1, axis), free), axis=axis)
+        size = np.multiply.outer(size, np.array([1, 1, 2], dtype=np.int32))
+    return (size + top) // 2
+
+
+def _reference_best_program(agree):
+    n = agree.ndim
+    best = agree.copy()
+    total = int(best.sum())
+    for _ in range(n - 1):
+        for axis in range(n):
+            lead = (slice(None),) * axis
+            free = best[lead + (2,)]
+            np.maximum(free, agree[lead + (0,)] + best[lead + (1,)], out=free)
+            np.maximum(free, agree[lead + (1,)] + best[lead + (0,)], out=free)
+        total, before = int(best.sum()), total
+        if total == before:
+            break
+    return best
+
+
+def _reference_inputs():
+    for t in range(256):
+        yield boolfun.BooleanFunction(3, [(t >> i) & 1 for i in range(8)])
+    rng = np.random.default_rng(1018)
+    for n in range(4, 11):
+        size = 1 << n
+        for _ in range(2):
+            yield boolfun.BooleanFunction(n, rng.integers(0, 2, size))
+            yield boolfun.BooleanFunction(n, rng.random(size) < 0.1)
+            mask = int(rng.integers(0, size))
+            bits = (boolfun.popcount(np.arange(size) & mask) & 1) ^ int(rng.integers(0, 2))
+            bits[rng.choice(size, 3, replace=False)] ^= 1
+            yield boolfun.BooleanFunction(n, bits)
+    for n in range(1, 8):
+        for values in itertools.product((0, 1), repeat=n + 1):
+            yield boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
+
+
+def test_level_ordered_pass_matches_the_fixed_point_reference():
+    checked = 0
+    for f in _reference_inputs():
+        w = classical._subcube_spectra(f)
+        ref_w = _reference_subcube_spectra(f)
+        assert w.shape == ref_w.shape and np.array_equal(w, ref_w)
+        agree = classical._best_affine(w)
+        ref_agree = _reference_best_affine(ref_w)
+        assert agree.shape == ref_agree.shape and np.array_equal(agree, ref_agree)
+        best = classical._best_program(agree)
+        ref_best = _reference_best_program(ref_agree)
+        assert best.shape == ref_best.shape and np.array_equal(best, ref_best)
+        res = classical.approximation_ratio(f)
+        assert res.agreements == int(ref_best[(2,) * f.n])
+        assert str(res.witness) == str(classical._witness(ref_w, ref_agree, ref_best))
+        checked += 1
+    assert checked == 256 + 7 * 6 + 508

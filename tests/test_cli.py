@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from limspace import boolfun, cli, qsp, simulate
+from limspace import boolfun, classical, cli, qsp, simulate
 from limspace.circuits import LimitedSpaceCircuit
 
 
@@ -115,6 +115,54 @@ def test_bounds_large_arity_has_no_exact_column(capsys):
     code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "11"])
     assert code == 0
     assert out == "gmax=0.03125, lower=0.515625, upper=0.609375, exact=n/a\n"
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("bounds at n <= 10 must not call this")
+
+
+def test_bounds_makes_one_ratio_pass(capsys, monkeypatch):
+    rng = np.random.default_rng(2024)
+    tables = [boolfun.BooleanFunction(n, rng.integers(0, 2, 1 << n)) for n in range(1, 11)]
+    spectral = [boolfun.spectral_max(f) for f in tables]
+    monkeypatch.setattr(boolfun, "walsh_spectrum", _forbidden)
+    monkeypatch.setattr(classical, "_witness", _forbidden)
+    for f, gmax in zip(tables, spectral):
+        assert classical.approximation_ratio(f).gmax.hex() == gmax.hex()
+    for argv in (
+        ["bounds", "--table", tables[6].to_hex(), "--n", "7"],
+        ["bounds", "--fn", "slsb", "--n", "10"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("gmax=") and "exact=n/a" not in out
+    code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "10", "--format", "json"])
+    assert json.loads(out)["gmax"] == 0.03125
+
+
+def test_bounds_beyond_the_ratio_arity_uses_the_spectrum(capsys, monkeypatch):
+    seen = []
+    spectral_max = boolfun.spectral_max
+
+    def recording(f):
+        seen.append(f.n)
+        return spectral_max(f)
+
+    monkeypatch.setattr(boolfun, "spectral_max", recording)
+    code, out, _ = _run(capsys, ["bounds", "--fn", "slsb", "--n", "12"])
+    assert code == 0
+    assert out == "gmax=0.015625, lower=0.5078125, upper=0.5625, exact=n/a\n"
+    assert seen == [12]
+
+
+def test_classical_builds_the_witness_once(capsys):
+    code, out, _ = _run(capsys, ["classical", "--fn", "slsb", "--n", "7"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "witness program:" and len(lines) > 3
+    res = classical.approximation_ratio(boolfun.slsb(7))
+    assert res.witness is res.witness
+    assert [f"  {ins}" for ins in str(res.witness).splitlines()] == lines[3:]
 
 
 def test_crossover_lines(capsys):
