@@ -129,6 +129,7 @@ def corpus(workdir):
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])
     broken = os.path.join(workdir, "broken.json")
     files = {broken: "{ not json"}
+    maj3 = ["simulate", "--circuit", os.path.join(workdir, "maj3.json"), "--fn", "maj", "--n", "3"]
     calls += [
         ["classical", "--fn", "maj"],
         ["classical", "--fn", "maj", "--table", "E8", "--n", "3"],
@@ -147,6 +148,14 @@ def corpus(workdir):
          "--n", "5"],
         ["crossover"],
         ["crossover", "--eps", "-0.1"],
+        maj3 + ["--eps", "1.5"],
+        maj3 + ["--eps", "-0.1"],
+        maj3 + ["--eps", "nan"],
+        maj3 + ["--eps", "0.1", "--shots", "-5"],
+        maj3 + ["--eps", "0.1", "--shots", "0"],
+        maj3 + ["--shots", "100"],
+        ["synth", "--method", "direct", "--fn", "slsb", "--n", "1"],
+        ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "nan"],
         ["frobnicate"],
         [],
         ["simulate", "--fn", "nope", "--n", "3"],

@@ -237,9 +237,6 @@ class AffineWitness:
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError("mask out of range")
 
-    def evaluate(self, x: int) -> int:
-        return self.constant ^ (int(x & self.mask).bit_count() & 1)
-
     def truth(self) -> np.ndarray:
         idx = np.arange(1 << self.n, dtype=np.uint32)
         par = popcount(idx & np.uint32(self.mask)) & 1

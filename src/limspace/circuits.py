@@ -24,22 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfun import SymmetricSpec
-from .qsp import AngleSequence, SignalParams, _rx, _rz
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
+from .qsp import AngleSequence, SignalParams, _I2, _X, _Z, _frozen, _rx, _rz
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_I2 = _frozen(np.eye(2, dtype=complex))
 
 # Shared by every gate and word that uses them, so they are read-only.
 _NAMED = {
     "h": _frozen(np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
-    "x": _frozen(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "z": _frozen(np.array([[1, 0], [0, -1]], dtype=complex)),
+    "x": _X,
+    "z": _Z,
     "s": _frozen(np.array([[1, 0], [0, 1j]], dtype=complex)),
 }
 _ROTATIONS = ("rx", "ry", "rz")

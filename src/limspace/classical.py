@@ -136,12 +136,6 @@ class NormalFormProgram:
         if self.tail.n != self.n:
             raise ValueError("tail affine arity mismatch")
 
-    def evaluate(self, x: int) -> int:
-        for j, b, w in self.stages:
-            if (x >> (j - 1)) & 1 == b:
-                return w.evaluate(x)
-        return self.tail.evaluate(x)
-
     def truth(self) -> BooleanFunction:
         idx = np.arange(1 << self.n, dtype=np.uint32)
         out = self.tail.truth().copy()

@@ -2,7 +2,10 @@
 
 One binary with subcommands.  Exit codes: 0 on success, 1 when a
 verification gate fails (ASP below tolerance, synthesis residuals), 2
-on usage or IO problems.  The one random draw, the Monte Carlo estimate
+on usage or IO problems.  Usage problems include an --eps outside
+[0, 1) (NaN included), --shots below 1 or without --eps, a non-finite
+--asp-tol, and direct synthesis at an arity its construction lacks
+(slsb at n = 1).  The one random draw, the Monte Carlo estimate
 of `simulate --shots`, is seeded by --seed (default 20240614), which only
 `simulate` accepts.  Output depends only on the command line, except
 where `synth` polishes a profile's interpolant: that SLSQP solve runs on
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -115,7 +119,10 @@ def _synthesize(
     if cfg.method == "direct":
         if cfg.fn not in _DIRECT:
             raise UsageError("direct synthesis exists for --fn slsb and --fn ip only")
-        return _DIRECT[cfg.fn](f.n), {"method": "direct"}
+        try:
+            return _DIRECT[cfg.fn](f.n), {"method": "direct"}
+        except ValueError as err:
+            raise UsageError(str(err)) from err
     spec = _symmetric_spec(f)
     try:
         params, angles = qsp.synthesize(spec)
@@ -126,6 +133,8 @@ def _synthesize(
 
 
 def cmd_synth(cfg: argparse.Namespace) -> int:
+    if not math.isfinite(cfg.asp_tol):
+        raise UsageError("--asp-tol must be finite")
     f = _resolve_function(cfg)
     circuit, meta = _synthesize(cfg, f)
     result = simulate.asp(circuit, f)
@@ -163,6 +172,16 @@ def cmd_synth(cfg: argparse.Namespace) -> int:
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     if cfg.circuit is None:
         raise UsageError("--circuit FILE is required")
+    if cfg.eps is not None:
+        try:
+            simulate.NoiseModel(cfg.eps)
+        except ValueError as err:
+            raise UsageError(str(err)) from err
+    if cfg.shots is not None:
+        if cfg.eps is None:
+            raise UsageError("--shots needs --eps")
+        if cfg.shots < 1:
+            raise UsageError("--shots must be at least 1")
     try:
         circuit = LimitedSpaceCircuit.load(cfg.circuit)
     except OSError as err:
@@ -198,7 +217,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         analytic = simulate.noisy_asp_analytic(ent, cfg.eps)
         lines.append(f"noisy ASP (analytic, L={ent}, eps={cfg.eps}): {analytic!r}")
         payload["noisy_asp_analytic"] = analytic
-        if cfg.shots:
+        if cfg.shots is not None:
             mc = simulate.noisy_asp_mc(circuit, f, cfg.eps, cfg.shots, cfg.seed)
             lines.append(f"noisy ASP (mc, shots={cfg.shots}, seed={cfg.seed}): {mc!r}")
             payload["noisy_asp_mc"] = mc

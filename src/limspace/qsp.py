@@ -26,10 +26,17 @@ import numpy as np
 
 from .boolfun import SymmetricSpec
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Shared with circuits and simulate, so they are read-only.
+_I2 = _frozen(np.eye(2, dtype=complex))
+_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 class SolveError(Exception):
@@ -127,15 +134,12 @@ class TrigPolynomial:
             L = self.degree
         if L < self.degree:
             raise ValueError("requested Laurent degree is below the actual degree")
+        # Power -j carries half (c/2 or i c/2), power +j its conjugate.
+        j = 2 * np.arange(self.coeffs.size) + 1
+        half = (0.5 if self.kind == "cos" else 0.5j) * self.coeffs
         out = np.zeros(2 * L + 1, dtype=complex)
-        for k, c in enumerate(self.coeffs):
-            j = 2 * k + 1
-            if self.kind == "cos":
-                out[L + j] += 0.5 * c
-                out[L - j] += 0.5 * c
-            else:
-                out[L + j] += -0.5j * c
-                out[L - j] += 0.5j * c
+        out[L - j] += half
+        out[L + j] += half.conj()
         return out
 
 
@@ -223,23 +227,32 @@ def _solve_pinned(
     return TrigPolynomial(kind, coeffs)
 
 
-def _squared_magnitude(a: TrigPolynomial, b: TrigPolynomial, points: int) -> np.ndarray:
-    """A^2 + B^2 on linspace(0, pi, points) by one real FFT; needs points > L + 1.
+def _square_sum(a: TrigPolynomial, b: TrigPolynomial) -> np.ndarray:
+    """A^2 + B^2 as real coefficients over powers -L..L of z = exp(i phi).
 
-    The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
-    z = exp(i phi) it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the
-    inverse real FFT of s at length 2 (points - 1), scaled by that length.
+    Both Laurent arrays live on even t-offsets with real or imaginary
+    entries, so every product is real and lands on an even t-power.
     """
     L = max(a.degree, b.degree)
     la, lb = a.laurent(L), b.laurent(L)
-    half = (np.convolve(la, la) + np.convolve(lb, lb)).real[2 * L :: 2]
+    return (np.convolve(la, la) + np.convolve(lb, lb)).real[::2]
+
+
+def _squared_magnitude(s: np.ndarray, points: int) -> np.ndarray:
+    """A^2 + B^2 on linspace(0, pi, points) from s = _square_sum(a, b) by one
+    real FFT; needs points > L + 1.
+
+    The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
+    z it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the inverse real
+    FFT of s_0..s_L at length 2 (points - 1), scaled by that length.
+    """
     size = 2 * (points - 1)
-    return np.fft.irfft(half, n=size)[:points] * size
+    return np.fft.irfft(s[s.size // 2 :], n=size)[:points] * size
 
 
 def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
     """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0."""
-    return float(_squared_magnitude(a, b, 100001).max()) - 1.0
+    return float(_squared_magnitude(_square_sum(a, b), 100001).max()) - 1.0
 
 
 def _solve_general(
@@ -331,7 +344,7 @@ def _minimax_polish(
         u = result.x[:-1]
         coeff_a, coeff_b = part_a + null_a @ u[:ka], part_b + null_b @ u[ka:]
         pair = TrigPolynomial("cos", coeff_a), TrigPolynomial("sin", coeff_b)
-        total = _squared_magnitude(*pair, fine.size)
+        total = _squared_magnitude(_square_sum(*pair), fine.size)
         if float(total.max()) <= 1.0 + _POSITIVITY_SLACK:
             break
         hot = fine[total > 1.0 - 1e-4]
@@ -384,11 +397,6 @@ class QspQuadruple:
         total = sum(p(phis) ** 2 for p in (self.a, self.b, self.c, self.d))
         return float(np.max(np.abs(total - 1.0)))
 
-    def check(self, tol: float = 1e-8) -> None:
-        defect = self.unitarity_defect()
-        if defect > tol:
-            raise ValueError(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
-
 
 def complete_cd(
     a: TrigPolynomial, b: TrigPolynomial
@@ -402,22 +410,16 @@ def complete_cd(
     with an odd shift s, and split H into the reciprocal part D and the
     anti-reciprocal part C.
     """
-    L = max(a.degree, b.degree)
-    la = a.laurent(L)
-    lb = b.laurent(L)
-    p_laurent = -(np.convolve(la, la) + np.convolve(lb, lb))
-    p_laurent[2 * L] += 1.0  # center of the degree-2L Laurent array
-    if float(np.max(np.abs(p_laurent.imag))) > 1e-10:
-        raise CompletionError("P has a non-real Laurent expansion")
-    odd_part = float(np.max(np.abs(p_laurent.real[1::2])))
-    if odd_part > 1e-10:
-        raise CompletionError("P has odd t-powers; A or B is malformed")
-    r_full = p_laurent.real[::2]  # z-coefficients over powers -L..L
+    s = _square_sum(a, b)
+    L = s.size // 2
+    r_full = -s  # P's z-coefficients over powers -L..L
+    r_full[L] += 1.0
 
     scale = float(np.max(np.abs(r_full)))
     if scale < 1e-12:
         return TrigPolynomial("sin", [0.0]), TrigPolynomial("cos", [0.0])
-    low = -squared_magnitude_overshoot(a, b)
+    # The gate of squared_magnitude_overshoot, read from the same product.
+    low = -(float(_squared_magnitude(s, 100001).max()) - 1.0)
     if low < -_POSITIVITY_SLACK:
         raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 
@@ -433,11 +435,11 @@ def complete_cd(
         return TrigPolynomial("sin", [root]), TrigPolynomial("cos", [root])
 
     roots = np.roots(r[::-1])
-    last_error: Exception | None = None
+    last_error: CompletionError
     for unit_tol in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
         try:
             selected = _pair_roots(roots, unit_tol)
-            c, d = _build_cd(selected, r, m, L)
+            c, d = _build_cd(selected, r, m)
         except CompletionError as exc:
             last_error = exc
             continue
@@ -445,7 +447,7 @@ def complete_cd(
         if defect <= 1e-8:
             return c, d
         last_error = CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
-    raise last_error if last_error is not None else CompletionError("no completion")
+    raise last_error
 
 
 def _pair_roots(roots: np.ndarray, unit_tol: float) -> np.ndarray:
@@ -489,10 +491,8 @@ def _pair_unit_roots(unit: np.ndarray) -> list[complex]:
 
 
 def _build_cd(
-    selected: np.ndarray, r: np.ndarray, m: int, L: int
+    selected: np.ndarray, r: np.ndarray, m: int
 ) -> tuple[TrigPolynomial, TrigPolynomial]:
-    if selected.size != m:
-        raise CompletionError(f"selected {selected.size} roots, expected {m}")
     g = np.poly(selected)  # descending, monic
     if float(np.max(np.abs(g.imag))) > 1e-6 * float(np.max(np.abs(g))):
         raise CompletionError("selected roots are not conjugation-closed")
@@ -505,22 +505,13 @@ def _build_cd(
         raise CompletionError("negative normalization; root pairing failed")
     g = g * np.sqrt(gamma)
 
-    shift = -m if m % 2 else -(m + 1)
-    h_powers = shift + 2 * np.arange(g.size)
-    degree = int(np.max(np.abs(h_powers)))
-    if degree > L:
-        raise CompletionError("completion degree exceeds the quadruple degree")
-    h = dict(zip(h_powers.tolist(), g.tolist()))
-    size = (degree + 1) // 2
-    c = np.zeros(size)
-    d = np.zeros(size)
-    for k in range(size):
-        j = 2 * k + 1
-        hp = h.get(j, 0.0)
-        hm = h.get(-j, 0.0)
-        d[k] = hp + hm
-        c[k] = hp - hm
-    return TrigPolynomial("sin", c), TrigPolynomial("cos", d)
+    # H = t^s G(t^2) with s = -m (m odd) or -(m + 1) (m even) spans the odd
+    # powers -(2 size - 1)..2 size - 1; h holds them in order, G filling the
+    # lowest m + 1.  Power j pairs with power -j: D = h_j + h_-j, C = h_j - h_-j.
+    size = m // 2 + 1
+    h = np.concatenate([g, np.zeros(2 * size - g.size)])
+    hm, hp = h[size - 1 :: -1], h[size:]
+    return TrigPolynomial("sin", hp - hm), TrigPolynomial("cos", hp + hm)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ from .boolfun import (
     affine_test,
     classical_upper_bound,
 )
-from .circuits import LimitedSpaceCircuit, _frozen, entangling_count
+from .circuits import LimitedSpaceCircuit, entangling_count
+from .qsp import _I2, _X, _frozen
 
-_I2 = _frozen(np.eye(2, dtype=complex))
-_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
 _IX = _frozen(1j * _X)
 
 _CLASSIFY_TOL = 1e-8

@@ -154,5 +154,4 @@ def test_affine_test_exhaustive_small():
             if witness is not None:
                 hits += 1
                 assert np.array_equal(witness.truth(), f.truth)
-                assert all(witness.evaluate(x) == f(x) for x in range(1 << n))
         assert hits == 1 << (n + 1)

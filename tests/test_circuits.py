@@ -350,9 +350,12 @@ def test_words_are_computed_once_and_read_only():
         circuits.GateSpec.named("h").action[0, 0] = 2.0
     with pytest.raises(ValueError):
         circuits.GateSpec.rotation("x", 0.5).action[0, 0] = 2.0
-    for shared in (circuits._I2, *circuits._NAMED.values(), simulate._I2, simulate._X,
-                   simulate._IX):
+    for shared in (*circuits._NAMED.values(), simulate._IX, qsp._I2, qsp._X, qsp._Y, qsp._Z):
         assert not shared.flags.writeable
+    # One array per constant, shared by qsp, circuits and simulate.
+    assert circuits._I2 is simulate._I2 is qsp._I2
+    assert circuits._NAMED["x"] is simulate._X is qsp._X
+    assert circuits._NAMED["z"] is qsp._Z
 
 
 def _words_mask_per_gate(c):

@@ -75,6 +75,13 @@ def test_exact_ratios_above_seven_variables(f, want):
     assert int(np.sum(replay.truth == f.truth)) == result.agreements
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_ip_ratio_closed_form(n):
+    # Pins the DP's output to R(ip_n) = 1/2 + (n+2)/2^(n/2+2); not a proof.
+    want = Fraction(1, 2) + Fraction(n + 2, 2 ** (n // 2 + 2))
+    assert classical.approximation_ratio(boolfun.ip(n)).value == want
+
+
 @given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_ratio_witness_is_sound_and_attains_the_count(n, rnd):
@@ -143,10 +150,7 @@ def test_normal_form_stage_order_matters_first_stage_wins():
     zero = boolfun.AffineWitness(2, 0, 0)
     one = boolfun.AffineWitness(2, 1, 0)
     prog = classical.NormalFormProgram(2, ((1, 1, one), (2, 1, zero)), zero)
-    assert prog.evaluate(0b11) == 1
-    assert prog.evaluate(0b10) == 0
-    assert prog.evaluate(0b01) == 1
-    assert prog.evaluate(0b00) == 0
+    assert prog.truth().truth.tolist() == [0, 1, 0, 1]  # inputs 0b00, 0b01, 0b10, 0b11
 
 
 def test_bounds_sandwich_the_exact_ratio():

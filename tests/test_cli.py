@@ -375,7 +375,10 @@ def test_only_simulate_takes_a_seed(capsys):
     assert "--seed SEED" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
+    path = str(tmp_path / "slsb3.json")
+    _run(capsys, ["synth", "--fn", "slsb", "--n", "3", "--method", "direct", "--out", path])
+    sim = ["simulate", "--circuit", path, "--fn", "slsb", "--n", "3"]
     cases = [
         ["classical", "--fn", "maj"],
         ["classical", "--fn", "maj", "--table", "E8", "--n", "3"],
@@ -388,6 +391,15 @@ def test_usage_errors_exit_two(capsys):
         ["simulate", "--fn", "maj", "--n", "3"],
         ["simulate", "--circuit", "/nonexistent/c.json", "--fn", "maj", "--n", "3"],
         ["crossover"],
+        sim + ["--eps", "1.5"],
+        sim + ["--eps", "-0.1"],
+        sim + ["--eps", "nan"],
+        sim + ["--eps", "0.1", "--shots", "-5"],
+        sim + ["--eps", "0.1", "--shots", "0"],
+        sim + ["--shots", "100"],
+        ["synth", "--method", "direct", "--fn", "slsb", "--n", "1"],
+        ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "nan"],
+        ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "inf"],
     ]
     for argv in cases:
         code, _, err = _run(capsys, argv)

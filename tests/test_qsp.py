@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_completed_envelope_is_nonnegative_and_unitary():
         p = 1.0 - a(grid) ** 2 - b(grid) ** 2
         assert float(np.min(p)) >= -1e-9
         quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
-        quad.check(1e-8)
+        assert quad.unitarity_defect() <= 1e-8
         assert quad.unitarity_defect(20000) <= 1e-8
 
 
@@ -158,7 +159,8 @@ def test_squared_magnitude_kernel_matches_direct_evaluation():
         for points in (101, 100001, 200001):
             grid = np.linspace(0.0, math.pi, points)
             np.testing.assert_allclose(
-                qsp._squared_magnitude(a, b, points), a(grid) ** 2 + b(grid) ** 2,
+                qsp._squared_magnitude(qsp._square_sum(a, b), points),
+                a(grid) ** 2 + b(grid) ** 2,
                 rtol=0, atol=1e-12,
             )
 
@@ -168,6 +170,90 @@ def test_completion_rejects_oversized_components():
     b = qsp.TrigPolynomial("sin", [0.0])
     with pytest.raises(qsp.CompletionError, match="P dips to -4.400e-01"):
         qsp.complete_cd(a, b)
+
+
+def test_completion_of_a_constant_p():
+    a = qsp.TrigPolynomial("cos", [0.6])
+    b = qsp.TrigPolynomial("sin", [0.6])
+    c, d = qsp.complete_cd(a, b)
+    assert (c.kind, d.kind) == ("sin", "cos")
+    assert c.coeffs.tolist() == d.coeffs.tolist() == [0.8]
+    quad = qsp.QspQuadruple(a, b, c, d)
+    assert quad.unitarity_defect() == 0.0
+    qsp.find_angles(quad)
+
+
+def test_completion_of_a_vanishing_p():
+    c, d = qsp.complete_cd(qsp.TrigPolynomial("cos", [1.0]), qsp.TrigPolynomial("sin", [1.0]))
+    assert (c.kind, d.kind) == ("sin", "cos")
+    assert c.coeffs.tolist() == d.coeffs.tolist() == [0.0]
+
+
+def _laurent_loop(poly, L):
+    """TrigPolynomial.laurent as a loop over the coefficients."""
+    out = np.zeros(2 * L + 1, dtype=complex)
+    for k, c in enumerate(poly.coeffs):
+        j = 2 * k + 1
+        if poly.kind == "cos":
+            out[L + j] += 0.5 * c
+            out[L - j] += 0.5 * c
+        else:
+            out[L + j] += -0.5j * c
+            out[L - j] += 0.5j * c
+    return out
+
+
+def _cd_from_dict(g, m):
+    """The H -> (C, D) split through a power -> coefficient dict."""
+    shift = -m if m % 2 else -(m + 1)
+    h_powers = shift + 2 * np.arange(g.size)
+    degree = int(np.max(np.abs(h_powers)))
+    h = dict(zip(h_powers.tolist(), g.tolist()))
+    size = (degree + 1) // 2
+    c = np.zeros(size)
+    d = np.zeros(size)
+    for k in range(size):
+        j = 2 * k + 1
+        hp = h.get(j, 0.0)
+        hm = h.get(-j, 0.0)
+        d[k] = hp + hm
+        c[k] = hp - hm
+    return c, d
+
+
+def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
+    """On the (A, B) pair of every symmetric profile with n <= 5."""
+    parities = []
+    for n in range(1, 6):
+        for tail in itertools.product((0, 1), repeat=n):
+            spec = boolfun.SymmetricSpec(n, (0, *tail))
+            params = qsp.signal_params(spec)
+            try:
+                a, b = qsp.solve_ab(spec, params)
+            except qsp.SolveError:
+                a, b = qsp.solve_ab(spec, qsp.signal_params_general(n))
+            L = max(a.degree, b.degree)
+            for poly in (a, b):
+                for size in (poly.degree, L):
+                    assert poly.laurent(size).tobytes() == _laurent_loop(poly, size).tobytes()
+            r_full = -qsp._square_sum(a, b)  # P, as complete_cd forms it
+            r_full[L] += 1.0
+            m = L
+            while m > 0 and abs(r_full[L + m]) < 1e-12 * np.max(np.abs(r_full)):
+                m -= 1
+            r = r_full[L - m : L + m + 1]
+            try:
+                selected = qsp._pair_roots(np.roots(r[::-1]), 1e-7)
+                c, d = qsp._build_cd(selected, r, m)
+            except qsp.CompletionError:
+                continue
+            g = np.poly(selected).real[::-1]
+            g = g * np.sqrt(float(r[-1]) / g[0])
+            want_c, want_d = _cd_from_dict(g, m)
+            assert c.coeffs.tobytes() == want_c.tobytes()
+            assert d.coeffs.tobytes() == want_d.tobytes()
+            parities.append(m % 2)
+    assert len(parities) > 40 and set(parities) == {0, 1}
 
 
 def test_angle_finding_rejects_nonunitary_quadruples():
