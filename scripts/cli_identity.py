@@ -56,6 +56,9 @@ def _tables():
     out = []
     for n in range(7, 11):
         size = 1 << n
+        # A table is symmetric iff every value equals the one at 2^|x| - 1,
+        # the first input of its weight.
+        first = (1 << np.bitwise_count(np.arange(size))) - 1
         for kind in ("uniform", "sparse", "near-affine"):
             made = 0
             while made < TABLES_PER_KIND:
@@ -68,7 +71,7 @@ def _tables():
                     bits = (np.bitwise_count(np.arange(size) & mask) & 1) ^ int(rng.integers(0, 2))
                     bits[rng.choice(size, int(rng.integers(2, 5)), replace=False)] ^= 1
                 f = boolfun.BooleanFunction(n, bits)
-                if not f.is_symmetric():
+                if not np.array_equal(f.truth, f.truth[first]):
                     out.append((n, f.to_hex()))
                     made += 1
     return out

@@ -76,15 +76,6 @@ class BooleanFunction:
         bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
         return cls(n, bits)
 
-    def is_symmetric(self) -> bool:
-        table = self.truth
-        weights = popcount(np.arange(1 << self.n, dtype=np.uint32))
-        for w in range(self.n + 1):
-            vals = table[weights == w]
-            if vals.size and not np.all(vals == vals[0]):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class SymmetricSpec:
@@ -100,19 +91,22 @@ class SymmetricSpec:
         if any(v not in (0, 1) for v in self.by_weight):
             raise ValueError("by_weight entries must be 0 or 1")
 
-    def value_at_weight(self, w: int) -> int:
-        return self.by_weight[w]
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
-
 
 def make_symmetric(spec: SymmetricSpec) -> BooleanFunction:
     """Truth table of the symmetric function with the given weight profile."""
-    weights = popcount(np.arange(1 << spec.n, dtype=np.uint32))
+    weights = np.bitwise_count(np.arange(1 << spec.n, dtype=np.uint32))
     table = np.asarray(spec.by_weight, dtype=np.uint8)[weights]
     return BooleanFunction(spec.n, table)
+
+
+def weight_profile(f: BooleanFunction) -> SymmetricSpec | None:
+    """The weight profile of f if f is symmetric, else None.
+
+    Reads f(w) at input 2^w - 1, the first input of weight w, and keeps
+    the profile only if make_symmetric rebuilds f from it.
+    """
+    spec = SymmetricSpec(f.n, tuple(f.truth[(1 << np.arange(f.n + 1)) - 1].tolist()))
+    return spec if make_symmetric(spec) == f else None
 
 
 def slsb(n: int) -> BooleanFunction:
@@ -197,9 +191,8 @@ def classical_lower_bound(gmax: float) -> float:
 def classical_upper_bound(gmax: float) -> float:
     """Upper bound 1/2 * (1 + gmax * log2(4 / gmax)), clamped to 1.
 
-    For gmax = 0 the unclamped expression degenerates; the bound is then
-    the trivial 1/2 + 0 ... the limit is 1/2, which is also what any
-    balanced bent-like target admits against constants.
+    At gmax = 0, log2(4 / gmax) is undefined; the expression tends to 1/2
+    as gmax falls to 0, and that limit is returned.
     """
     if not 0.0 <= gmax <= 1.0:
         raise ValueError("gmax must lie in [0, 1]")
@@ -239,7 +232,7 @@ class AffineWitness:
 
     def truth(self) -> np.ndarray:
         idx = np.arange(1 << self.n, dtype=np.uint32)
-        par = popcount(idx & np.uint32(self.mask)) & 1
+        par = np.bitwise_count(idx & np.uint32(self.mask)) & 1
         return (par ^ self.constant).astype(np.uint8)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfun import SymmetricSpec
-from .qsp import AngleSequence, SignalParams, _I2, _X, _Z, _frozen, _rx, _rz
+from .qsp import AngleSequence, SignalParams, _I2, _X, _Z, _frozen, _rz
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -37,6 +37,11 @@ _NAMED = {
 }
 _ROTATIONS = ("rx", "ry", "rz")
 _GATE_NAMES = _ROTATIONS + tuple(_NAMED) + ("matrix",)
+
+
+def _rx(phi: float) -> np.ndarray:
+    c, s = np.cos(phi / 2), np.sin(phi / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -417,7 +422,7 @@ def compile_qsp(
     if float(xi.xi[0]) != 0.0:
         gates.append(GateSpec.rotation("z", float(xi.xi[0])))
     note = "relative phase; V(x) = U(step*|x| - offset)"
-    if f.value_at_weight(0) == 1:
+    if f.by_weight[0] == 1:
         gates.append(GateSpec.named("x"))
         note += ", complemented by a trailing x"
     return LimitedSpaceCircuit(n=f.n, gates=tuple(gates), phase_convention=note)
@@ -492,16 +497,11 @@ def _pass_commuting_runs(gates: list[GateSpec]) -> list[GateSpec]:
                     break
                 actions[key] = candidate
             j += 1
-        run = gates[i:j]
         by_control: dict[int | None, list[GateSpec]] = {}
-        order: list[int | None] = []
-        for g in run:
-            if g.control not in by_control:
-                by_control[g.control] = []
-                order.append(g.control)
-            by_control[g.control].append(g)
-        for control in order:
-            merged = _merged_gate(by_control[control])
+        for g in gates[i:j]:
+            by_control.setdefault(g.control, []).append(g)
+        for same in by_control.values():
+            merged = _merged_gate(same)
             if merged is not None:
                 out.append(merged)
         i = j

@@ -68,13 +68,6 @@ def _resolve_function(cfg: argparse.Namespace) -> BooleanFunction:
         raise UsageError(str(err)) from err
 
 
-def _symmetric_spec(f: BooleanFunction) -> SymmetricSpec:
-    if not f.is_symmetric():
-        raise UsageError("signal-processing synthesis needs a symmetric function")
-    values = tuple(int(f.truth[(1 << w) - 1]) for w in range(f.n + 1))
-    return SymmetricSpec(f.n, values)
-
-
 def _emit(cfg: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -123,7 +116,9 @@ def _synthesize(
             return _DIRECT[cfg.fn](f.n), {"method": "direct"}
         except ValueError as err:
             raise UsageError(str(err)) from err
-    spec = _symmetric_spec(f)
+    spec = boolfun.weight_profile(f)
+    if spec is None:
+        raise UsageError("signal-processing synthesis needs a symmetric function")
     try:
         params, angles = qsp.synthesize(spec)
     except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError) as err:

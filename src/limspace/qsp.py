@@ -227,20 +227,21 @@ def _solve_pinned(
     return TrigPolynomial(kind, coeffs)
 
 
-def _square_sum(a: TrigPolynomial, b: TrigPolynomial) -> np.ndarray:
-    """A^2 + B^2 as real coefficients over powers -L..L of z = exp(i phi).
+def _square_sum(*polys: TrigPolynomial) -> np.ndarray:
+    """The sum of the squares as real coefficients over powers -L..L of
+    z = exp(i phi), L the largest degree.
 
-    Both Laurent arrays live on even t-offsets with real or imaginary
+    Every Laurent array lives on even t-offsets with real or imaginary
     entries, so every product is real and lands on an even t-power.
     """
-    L = max(a.degree, b.degree)
-    la, lb = a.laurent(L), b.laurent(L)
-    return (np.convolve(la, la) + np.convolve(lb, lb)).real[::2]
+    L = max(p.degree for p in polys)
+    laurents = [p.laurent(L) for p in polys]
+    return np.sum([np.convolve(lp, lp) for lp in laurents], axis=0).real[::2]
 
 
 def _squared_magnitude(s: np.ndarray, points: int) -> np.ndarray:
-    """A^2 + B^2 on linspace(0, pi, points) from s = _square_sum(a, b) by one
-    real FFT; needs points > L + 1.
+    """The sum of squares s = _square_sum(...) on linspace(0, pi, points) by
+    one real FFT; needs points > L + 1.
 
     The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
     z it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the inverse real
@@ -389,13 +390,15 @@ class QspQuadruple:
         )
         return a * _I2 + 1j * b * _X + 1j * c * _Y + 1j * d * _Z
 
-    def unitarity_defect(self, grid_points: int | None = None) -> float:
-        """max |A^2+B^2+C^2+D^2 - 1| over an even grid on [-2pi, 2pi)."""
-        if grid_points is None:
-            grid_points = 4 * self.L
-        phis = np.linspace(-2 * pi, 2 * pi, grid_points, endpoint=False)
-        total = sum(p(phis) ** 2 for p in (self.a, self.b, self.c, self.d))
-        return float(np.max(np.abs(total - 1.0)))
+    def unitarity_defect(self) -> float:
+        """max |A^2+B^2+C^2+D^2 - 1| on linspace(0, pi, 2 max(8, L) + 1).
+
+        The sum is even and 2pi-periodic, so these are the points of the
+        max(64, 8L)-point grid on [-2pi, 2pi), folded onto [0, pi].
+        """
+        total = _square_sum(self.a, self.b, self.c, self.d)
+        points = 2 * max(8, self.L) + 1
+        return float(np.max(np.abs(_squared_magnitude(total, points) - 1.0)))
 
 
 def complete_cd(
@@ -443,7 +446,7 @@ def complete_cd(
         except CompletionError as exc:
             last_error = exc
             continue
-        defect = QspQuadruple(a, b, c, d).unitarity_defect(max(64, 8 * L))
+        defect = QspQuadruple(a, b, c, d).unitarity_defect()
         if defect <= 1e-8:
             return c, d
         last_error = CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
@@ -535,11 +538,6 @@ class AngleSequence:
 
 def _rz(xi: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * xi), 0], [0, np.exp(0.5j * xi)]])
-
-
-def _rx(phi: float) -> np.ndarray:
-    c, s = np.cos(phi / 2), np.sin(phi / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def reconstruct(angles: AngleSequence, phi) -> np.ndarray:

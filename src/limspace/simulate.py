@@ -133,9 +133,12 @@ def noisy_asp_mc(
 ) -> float:
     """Monte Carlo estimate of the noisy success probability.
 
-    Each shot draws a uniform input, flips an independent failure coin
-    for every entangling gate, and measures: a clean run samples the
-    exact p_one(x), any failure replaces the output with a fair bit.
+    Each shot draws a uniform input and fails with probability
+    1 - (1 - eps)^L, the chance that at least one of the L entangling
+    gates fails, decided by one uniform per shot.  A clean run samples
+    the exact p_one(x); a failed one outputs a fair bit.  Memory is
+    O(shots).  Seeded estimates differ from those of the earlier
+    one-coin-per-gate draw, which had the same distribution.
     """
     NoiseModel(epsilon)
     if c.n != f.n:
@@ -144,13 +147,11 @@ def noisy_asp_mc(
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
     p_one = np.abs(c.words()[:, 1, 0]) ** 2
-    ent = entangling_count(c)
     xs = rng.integers(0, 1 << c.n, size=shots)
-    failures = rng.random((shots, ent)) < epsilon if ent else np.zeros((shots, 1), bool)
-    scrambled = failures.any(axis=1)
+    clean = rng.random(shots) < (1.0 - epsilon) ** entangling_count(c)
     clean_bit = rng.random(shots) < p_one[xs]
     coin_bit = rng.integers(0, 2, size=shots).astype(bool)
-    outcome = np.where(scrambled, coin_bit, clean_bit)
+    outcome = np.where(clean, clean_bit, coin_bit)
     return float(np.mean(outcome == (f.truth[xs] == 1)))
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -64,9 +66,51 @@ def test_maj_and_ip_values():
 
 
 def test_symmetric_constructions_are_symmetric():
-    assert boolfun.slsb(6).is_symmetric()
-    assert boolfun.maj(5).is_symmetric()
-    assert not boolfun.ip(4).is_symmetric()
+    assert boolfun.weight_profile(boolfun.slsb(6)) == boolfun.slsb_spec(6)
+    assert boolfun.weight_profile(boolfun.maj(5)) == boolfun.maj_spec(5)
+    assert boolfun.weight_profile(boolfun.ip(4)) is None
+
+
+@functools.cache
+def _weight_masks(n):
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    return [weights == w for w in range(n + 1)]
+
+
+def _weight_profile_loop(f):
+    """One masked scan per weight, then the values read at inputs 2^w - 1."""
+    for mask in _weight_masks(f.n):
+        vals = f.truth[mask]
+        if vals.size and not np.all(vals == vals[0]):
+            return None
+    return boolfun.SymmetricSpec(f.n, tuple(int(f.truth[(1 << w) - 1]) for w in range(f.n + 1)))
+
+
+def _weight_profile_cases():
+    """Every table with n <= 3; for n = 4..12 every symmetric table and a
+    seeded one-bit flip of each."""
+    for n in range(1, 4):
+        for t in range(1 << (1 << n)):
+            yield boolfun.BooleanFunction(n, [(t >> i) & 1 for i in range(1 << n)])
+    rng = np.random.default_rng(1019)
+    for n in range(4, 13):
+        for values in itertools.product((0, 1), repeat=n + 1):
+            f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
+            flipped = f.truth.copy()
+            flipped[rng.integers(0, 1 << n)] ^= 1
+            yield f
+            yield boolfun.BooleanFunction(n, flipped)
+
+
+def test_weight_profile_matches_the_weight_loop():
+    found = {True: 0, False: 0}
+    for f in _weight_profile_cases():
+        spec = boolfun.weight_profile(f)
+        assert spec == _weight_profile_loop(f)
+        if spec is not None:
+            assert boolfun.make_symmetric(spec) == f
+        found[spec is not None] += 1
+    assert found[True] > 16352 and found[False] > 16000
 
 
 @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))

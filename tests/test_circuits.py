@@ -132,14 +132,14 @@ def test_slsb_relative_counts_and_pattern():
         result = simulate.asp(c, boolfun.slsb(n))
         assert result.asp == pytest.approx(1.0, abs=1e-9)
         assert result.classification is simulate.Classification.RELATIVE_PHASE
-        weights = boolfun.popcount(np.arange(1 << n, dtype=np.uint32))
+        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         assert np.array_equal(np.rint(result.p_one).astype(int), (weights >> 1) & 1)
 
 
 def test_slsb_relative_word_cycle():
     c = circuits.slsb_relative(8)
     words = c.words()
-    weights = boolfun.popcount(np.arange(1 << 8, dtype=np.uint32))
+    weights = np.bitwise_count(np.arange(1 << 8, dtype=np.uint32))
     h = circuits.GateSpec.named("h").action
     xh = circuits.GateSpec.named("x").action @ h
     cycle = {w: np.linalg.matrix_power(h, w) @ np.linalg.matrix_power(xh, w) for w in range(9)}
@@ -296,7 +296,7 @@ def test_compile_qsp_majority():
         params = qsp.signal_params_maj(n)
         c, xi = _compiled(boolfun.maj_spec(n), params)
         assert circuits.entangling_count(c) == n * params.L
-        weights = boolfun.popcount(np.arange(1 << n, dtype=np.uint32))
+        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         target = qsp.reconstruct(xi, params.phi(weights))
         assert np.max(np.abs(c.words() - target)) <= 1e-8
         # Majority angles come in equal adjacent pairs, so the z-rotations
@@ -316,7 +316,7 @@ def test_compile_qsp_general_path():
     result = simulate.asp(c, boolfun.slsb(4))
     assert result.asp == pytest.approx(1.0, abs=1e-9)
     words = c.words()
-    weights = boolfun.popcount(np.arange(16, dtype=np.uint32))
+    weights = np.bitwise_count(np.arange(16, dtype=np.uint32))
     for idx in range(16):
         target = qsp.reconstruct(xi, float(params.phi(int(weights[idx]))))
         assert np.max(np.abs(words[idx] - target)) <= 1e-8

@@ -230,7 +230,7 @@ def _reference_inputs():
             yield boolfun.BooleanFunction(n, rng.integers(0, 2, size))
             yield boolfun.BooleanFunction(n, rng.random(size) < 0.1)
             mask = int(rng.integers(0, size))
-            bits = (boolfun.popcount(np.arange(size) & mask) & 1) ^ int(rng.integers(0, 2))
+            bits = (np.bitwise_count(np.arange(size) & mask) & 1) ^ int(rng.integers(0, 2))
             bits[rng.choice(size, 3, replace=False)] ^= 1
             yield boolfun.BooleanFunction(n, bits)
     for n in range(1, 8):

@@ -128,7 +128,9 @@ def test_completed_envelope_is_nonnegative_and_unitary():
         assert float(np.min(p)) >= -1e-9
         quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
         assert quad.unitarity_defect() <= 1e-8
-        assert quad.unitarity_defect(20000) <= 1e-8
+        fine = np.linspace(-2 * math.pi, 2 * math.pi, 20000, endpoint=False)
+        total = sum(p(fine) ** 2 for p in (quad.a, quad.b, quad.c, quad.d))
+        assert float(np.max(np.abs(total - 1.0))) <= 1e-8
 
 
 def test_majority_envelope_stays_in_unit_band():
@@ -254,6 +256,33 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
             assert d.coeffs.tobytes() == want_d.tobytes()
             parities.append(m % 2)
     assert len(parities) > 40 and set(parities) == {0, 1}
+
+
+def _defect_on_the_grid(quad):
+    """max |A^2+B^2+C^2+D^2 - 1| on the max(64, 8L)-point grid on [-2pi, 2pi)."""
+    phis = np.linspace(-2 * math.pi, 2 * math.pi, max(64, 8 * quad.L), endpoint=False)
+    total = sum(p(phis) ** 2 for p in (quad.a, quad.b, quad.c, quad.d))
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def test_unitarity_defect_matches_the_grid_evaluation():
+    """On every symmetric profile with n <= 5 whose (A, B) completes."""
+    checked = 0
+    for n in range(1, 6):
+        for tail in itertools.product((0, 1), repeat=n):
+            spec = boolfun.SymmetricSpec(n, (0, *tail))
+            params = qsp.signal_params(spec)
+            try:
+                a, b = qsp.solve_ab(spec, params)
+            except qsp.SolveError:
+                a, b = qsp.solve_ab(spec, qsp.signal_params_general(n))
+            try:
+                quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
+            except qsp.CompletionError:
+                continue
+            assert abs(quad.unitarity_defect() - _defect_on_the_grid(quad)) <= 1e-13
+            checked += 1
+    assert checked > 40
 
 
 def test_angle_finding_rejects_nonunitary_quadruples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,27 @@ def test_mc_tracks_the_analytic_curve():
         sigma = math.sqrt(expected * (1.0 - expected) / shots)
         got = simulate.noisy_asp_mc(c, f, eps, shots, seed=20240614)
         assert abs(got - expected) <= 4.0 * sigma
+
+
+def test_mc_on_a_gate_free_circuit_is_exact():
+    c = circuits.LimitedSpaceCircuit(n=3, gates=())
+    for fn in ("const0", "const1"):
+        f = boolfun.make_symmetric(boolfun.SymmetricSpec(3, (int(fn == "const1"),) * 4))
+        assert simulate.noisy_asp_mc(c, f, 0.3, 2000, seed=5) == simulate.asp(c, f).asp
+
+
+def test_mc_memory_does_not_grow_with_the_gate_count():
+    gate = circuits.GateSpec.rotation("x", 0.1, control=1)
+    c = circuits.LimitedSpaceCircuit(n=2, gates=(gate,) * 200)
+    f = boolfun.BooleanFunction(2, [0, 1, 0, 1])
+    c.words()
+    tracemalloc.start()
+    try:
+        simulate.noisy_asp_mc(c, f, 0.01, 200000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_mc_validation():
