@@ -172,8 +172,8 @@ def test_mc_tracks_the_analytic_curve():
 
 def test_mc_on_a_gate_free_circuit_is_exact():
     c = circuits.LimitedSpaceCircuit(n=3, gates=())
-    for fn in ("const0", "const1"):
-        f = boolfun.make_symmetric(boolfun.SymmetricSpec(3, (int(fn == "const1"),) * 4))
+    for value in (0, 1):
+        f = boolfun.make_symmetric(boolfun.SymmetricSpec(3, (value,) * 4))
         assert simulate.noisy_asp_mc(c, f, 0.3, 2000, seed=5) == simulate.asp(c, f).asp
 
 
