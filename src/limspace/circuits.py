@@ -176,6 +176,12 @@ class GateSpec:
 def _format_angle(theta: float) -> str:
     """Render an angle as a multiple of pi when it is a simple one."""
     ratio = theta / math.pi
+    # A ratio within 1e-12 of p/q, q <= 16, lies within about 1e-4 of a
+    # multiple of 1/720720 (720720 = lcm(1..16)) while |ratio| < 2^20, so
+    # an angle farther than 1e-3 from every such multiple needs no Fraction.
+    scaled = ratio * 720720
+    if abs(ratio) < 1 << 20 and abs(scaled - round(scaled)) > 1e-3:
+        return repr(theta)
     frac = Fraction(ratio).limit_denominator(16)
     if abs(float(frac) - ratio) < 1e-12:
         if frac == 0:
@@ -217,19 +223,23 @@ class LimitedSpaceCircuit:
     def words(self) -> np.ndarray:
         """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1).
 
-        Computed on the first call; every call returns that read-only array.
+        Computed on the first call; every call returns that read-only,
+        C-contiguous array.  The work happens in one (2, 2, 2^n) buffer
+        with the input index innermost, so a controlled gate updates a
+        strided view of it (the inputs whose control bit is set) in place.
         """
         if self._words is None:
-            idx = np.arange(1 << self.n)
-            masks = [(idx >> k) & 1 == 1 for k in range(self.n)]
-            out = np.broadcast_to(_I2, (idx.size, 2, 2)).copy()
+            w = np.zeros((2, 2, 1 << self.n), dtype=complex)
+            w[0, 0] = w[1, 1] = 1
             for g in self.gates:
-                if g.control is None:
-                    out = np.einsum("ij,njk->nik", g.action, out)
-                else:
-                    mask = masks[g.control - 1]
-                    out[mask] = np.einsum("ij,njk->nik", g.action, out[mask])
-            object.__setattr__(self, "_words", _frozen(out))
+                v = w
+                if g.control is not None:
+                    # w is contiguous, so this reshape is a view: the
+                    # write below must land in w, not in a copy.
+                    v = w.reshape(2, 2, -1, 2, 1 << (g.control - 1))[:, :, :, 1]
+                v[...] = np.einsum("ij,jk...->ik...", g.action, v)
+            words = np.ascontiguousarray(w.transpose(2, 0, 1))
+            object.__setattr__(self, "_words", _frozen(words))
         return self._words
 
     def to_json_dict(self) -> dict:

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +345,8 @@ def test_words_are_computed_once_and_read_only():
     c = circuits.slsb_true(4)
     words = c.words()
     assert words is c.words()
+    assert words.shape == (16, 2, 2)
+    assert words.flags.c_contiguous
     assert simulate.asp(c, boolfun.slsb(4)).words is words
     with pytest.raises(ValueError):
         words[0, 0, 0] = 2.0
@@ -427,11 +431,98 @@ def _gate_bits(g):
     return g.name, g.control, g.angle, g.label, matrix
 
 
-def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged):
+# A fixed relabeling of the controls, as the benchmark's wide simulate ops do.
+_PERM14 = (3, 11, 0, 7, 13, 5, 9, 1, 12, 6, 2, 10, 4, 8)
+
+
+def _relabeled(c, perm):
+    data = c.to_json_dict()
+    for gate in data["gates"]:
+        if gate["control"] is not None:
+            gate["control"] = perm[gate["control"] - 1] + 1
+    return circuits.LimitedSpaceCircuit.from_json_dict(data)
+
+
+def _random_circuit(rng, n, size=40):
+    """Seeded gates of every kind, controlled on bit 1, bit n, any bit or none."""
+    gates = []
+    for _ in range(size):
+        control = (None, 1, n, int(rng.integers(1, n + 1)))[rng.integers(4)]
+        kind = rng.integers(3)
+        if kind == 0:
+            axis = "xyz"[rng.integers(3)]
+            gates.append(circuits.GateSpec.rotation(axis, rng.uniform(-7, 7), control))
+        elif kind == 1:
+            gates.append(circuits.GateSpec.named("hxzs"[rng.integers(4)], control))
+        else:
+            gates.append(circuits.GateSpec.from_matrix(circuits._XSDG, "xsdg", control))
+    return circuits.LimitedSpaceCircuit(n, tuple(gates))
+
+
+@pytest.fixture(scope="module")
+def wide_circuits():
+    """slsb_true(14) and ip_circuit(14) with its controls relabeled by _PERM14."""
+    return circuits.slsb_true(14), _relabeled(circuits.ip_circuit(14), _PERM14)
+
+
+def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged, wide_circuits):
     assert len(raw_and_merged) > 100
-    for pair in raw_and_merged:
-        for c in pair:
-            assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
+    rng = np.random.default_rng(1307)
+    randoms = [_random_circuit(rng, n) for n in range(1, 9) for _ in range(3)]
+    controls = {(g.control, c.n) for c in randoms for g in c.gates}
+    assert all((1, n) in controls and (n, n) in controls for n in range(2, 9))
+    one_bit_s = circuits.GateSpec.named("s", control=1)
+    fixed = [
+        *wide_circuits,
+        circuits.slsb_relative(13),
+        circuits.LimitedSpaceCircuit(1, (circuits.GateSpec.named("h"), one_bit_s)),
+        circuits.LimitedSpaceCircuit(3, ()),
+    ]
+    for c in [c for pair in raw_and_merged for c in pair] + fixed + randoms:
+        assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
+
+
+def test_wide_simulate_csv_digests_are_pinned(wide_circuits):
+    true14, ip14 = wide_circuits
+    idx = np.arange(1 << 14)
+    inner = boolfun.ip(14).truth
+    relabeled = sum(((idx >> p) & 1) << k for k, p in enumerate(_PERM14))
+    pinned = (
+        (true14, boolfun.slsb(14),
+         "1b5721dba240ba00ddba1651aca6afe6bcbc12fa1ccc28c565065caba57b278a"),
+        (ip14, boolfun.BooleanFunction(14, inner[relabeled]),
+         "360705dd4a90abac8f7c8280263a566e48b6c63b8f6485ecfd7feadb33107f9d"),
+    )
+    for c, f, digest in pinned:
+        result = simulate.asp(c, f)
+        assert result.asp == pytest.approx(1.0, abs=1e-12)
+        assert hashlib.sha256(result.to_csv().encode()).hexdigest() == digest
+
+
+def _format_angle_fraction(theta):
+    """The label kernel that built a Fraction for every angle."""
+    ratio = theta / math.pi
+    frac = Fraction(ratio).limit_denominator(16)
+    if abs(float(frac) - ratio) < 1e-12:
+        if frac == 0:
+            return "0"
+        num, den = frac.numerator, frac.denominator
+        sign = "-" if num < 0 else ""
+        num = abs(num)
+        head = "pi" if num == 1 else f"{num}*pi"
+        return f"{sign}{head}" if den == 1 else f"{sign}{head}/{den}"
+    return repr(theta)
+
+
+def test_angle_labels_match_the_fraction_kernel():
+    simple = {Fraction(p, q) for q in range(1, 17) for p in range(-8 * q, 8 * q + 1)}
+    ratios = [float(r) + d for r in simple for d in (0.0, 1e-13, -1e-13, 1e-11, -1e-11)]
+    thetas = [r * math.pi for r in ratios]
+    thetas += np.random.default_rng(1601).uniform(-30.0, 30.0, 10**4).tolist()
+    thetas += [2.0**20 * math.pi, -(2.0**21) * math.pi + 0.5, 3e7, -1e9]
+    assert any(_format_angle_fraction(t) != repr(t) for t in thetas)
+    for theta in thetas:
+        assert circuits._format_angle(theta) == _format_angle_fraction(theta)
 
 
 def test_merge_matches_the_all_pairs_commuting_pass(raw_and_merged, monkeypatch):
