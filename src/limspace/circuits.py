@@ -176,12 +176,6 @@ class GateSpec:
 def _format_angle(theta: float) -> str:
     """Render an angle as a multiple of pi when it is a simple one."""
     ratio = theta / math.pi
-    # A ratio within 1e-12 of p/q, q <= 16, lies within about 1e-4 of a
-    # multiple of 1/720720 (720720 = lcm(1..16)) while |ratio| < 2^20, so
-    # an angle farther than 1e-3 from every such multiple needs no Fraction.
-    scaled = ratio * 720720
-    if abs(ratio) < 1 << 20 and abs(scaled - round(scaled)) > 1e-3:
-        return repr(theta)
     frac = Fraction(ratio).limit_denominator(16)
     if abs(float(frac) - ratio) < 1e-12:
         if frac == 0:
