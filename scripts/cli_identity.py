@@ -18,10 +18,10 @@ The corpus: classical, bounds and synth (text, JSON, --out) for every
 named family at n = 3..7; classical and bounds (text and JSON) on
 seeded non-symmetric tables at n = 7..10, uniform, sparse and
 near-affine; synth --format json for every symmetric profile with
-n <= 7; simulate of each written circuit with --eps/--shots/--seed,
-JSON and --out; direct synthesis at n = 4, 6, 12; crossover; usage and
-argparse errors, and simulate of malformed circuit files.  It takes a
-few minutes.
+n <= 8 (n = 8 is where the minimax polish fires most); simulate of each
+written circuit with --eps/--shots/--seed, JSON and --out; direct
+synthesis at n = 4, 6, 12; crossover; usage and argparse errors, and
+simulate of malformed circuit files.  It takes a few minutes.
 """
 
 import argparse
@@ -119,7 +119,7 @@ def corpus(workdir):
         target = ["--table", table, "--n", str(n)]
         for command in ("classical", "bounds"):
             calls += [[command, *target], [command, *target, "--format", "json"]]
-    for n in range(1, 8):
+    for n in range(1, 9):
         for values in itertools.product((0, 1), repeat=n + 1):
             f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
             calls.append(["synth", "--table", f.to_hex(), "--n", str(n), "--format", "json"])

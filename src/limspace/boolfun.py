@@ -68,6 +68,9 @@ class BooleanFunction:
     @classmethod
     def from_hex(cls, n: int, text: str) -> BooleanFunction:
         _require_arity(n)
+        # int() would read a sign, and a negative table then reads as too wide.
+        if text.lstrip()[:1] in ("+", "-"):
+            raise ValueError("hex string must not carry a sign")
         value = int(text, 16)
         if value >> (1 << n):
             raise ValueError("hex string encodes more bits than the arity allows")

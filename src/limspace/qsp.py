@@ -156,6 +156,7 @@ _DERIVATIVE = {"cos": ("sin", -0.5), "sin": ("cos", 0.5)}
 
 _POSITIVITY_SLACK = 1e-9
 _POLISH_STAGES = 3
+_HOT = 1.0 - 1e-4  # the polish refines its SLSQP grid where A^2 + B^2 exceeds this
 _TARGET_TOL = 1e-10
 
 
@@ -245,15 +246,68 @@ def _squared_magnitude(s: np.ndarray, points: int) -> np.ndarray:
 
     The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
     z it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the inverse real
-    FFT of s_0..s_L at length 2 (points - 1), scaled by that length.
+    FFT of s_0..s_L at length 2 (points - 1), scaled by that length.  The
+    fine positivity grids take it on every _CELL-th point only, refining
+    the cells that can reach the level they decide at
+    (_refined_squared_magnitude), so their decisions are the full grid's.
     """
     size = 2 * (points - 1)
     return np.fft.irfft(s[s.size // 2 :], n=size)[:points] * size
 
 
+# A coarse cell spans this many steps of the fine positivity grids; the
+# coarse grid needs more than L + 1 points (arity 24 gives L = 97).
+_CELL = 10
+_GATE_POINTS = 100001
+_POLISH_POINTS = 200001
+
+
+def _refined_squared_magnitude(
+    s: np.ndarray, points: int, level: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of squares s on the points of linspace(0, pi, points) that
+    can reach level, as (grid indices, values); points - 1 must be a
+    multiple of _CELL.  level defaults to the coarse maximum.
+
+    Every _CELL-th grid point comes from the FFT kernel on the coarse grid,
+    whose points they are.  On a cell of width h the sum is at most its
+    larger end plus h^2 / 8 max|v''|, and |v''| <= 2 sum_k k^2 |s_k|; every
+    cell whose bound (plus 1e-12 for rounding) reaches level has its inner
+    points evaluated directly, as s_0 + 2 sum_k s_k cos(k phi).  So every
+    grid point at or above level is among those returned, and the maximum
+    and the set above level are the full grid's (to rounding).
+    """
+    coarse = _squared_magnitude(s, (points - 1) // _CELL + 1)
+    if level is None:
+        level = float(coarse.max())
+    L = s.size // 2
+    k = np.arange(1, L + 1)
+    step = pi / (points - 1)
+    curvature = 2.0 * float(np.sum(k * k * np.abs(s[L + 1 :])))
+    slack = (_CELL * step) ** 2 / 8.0 * curvature + 1e-12
+    cells = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + slack >= level)
+    inner = (_CELL * cells[:, None] + np.arange(1, _CELL)).ravel()
+    phi = inner * step  # bitwise np.linspace(0, pi, points)[inner]
+    values = np.full(phi.size, s[L])
+    for j in k:
+        values += 2.0 * s[L + j] * np.cos(j * phi)
+    indices = np.concatenate([np.arange(0, points, _CELL), inner])
+    return indices, np.concatenate([coarse, values])
+
+
+def _gate_peak(s: np.ndarray) -> float:
+    """max of the sum of squares s on the _GATE_POINTS-point grid over [0, pi]."""
+    return float(_refined_squared_magnitude(s, _GATE_POINTS)[1].max())
+
+
 def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
-    """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0."""
-    return float(_squared_magnitude(_square_sum(a, b), 100001).max()) - 1.0
+    """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0.
+
+    Read on the 100001-point grid from a coarse FFT plus the refined cells
+    that can hold its maximum: the value, and so every decision taken on
+    it, is the full grid's.
+    """
+    return _gate_peak(_square_sum(a, b)) - 1.0
 
 
 def _solve_general(
@@ -316,14 +370,17 @@ def _minimax_polish(
     Pointwise A^2 + B^2 is a convex quadratic in the free coordinates, so
     the epigraph program is convex and the solver reaches the global
     optimum; refining the grid near active maxima tightens the finite-grid
-    relaxation between _POLISH_STAGES stages.
+    relaxation between _POLISH_STAGES stages.  Each stage checks the
+    result on the 200001-point grid from a coarse FFT plus the cells that
+    can exceed _HOT: the early exit and the hot points added to the SLSQP
+    grid (the floats of linspace(0, pi, 200001)) are the full grid's.
     """
     import scipy.optimize
 
     ka = null_a.shape[1]
     kb = null_b.shape[1]
     u = np.zeros(ka + kb)
-    fine = np.linspace(0.0, pi, 200001)
+    fine = np.linspace(0.0, pi, _POLISH_POINTS)
     grid = np.linspace(0.0, pi, 2001)
     for _ in range(_POLISH_STAGES):
         cos_rows = _half_angle_basis("cos", grid, harmonics.size)
@@ -345,10 +402,10 @@ def _minimax_polish(
         u = result.x[:-1]
         coeff_a, coeff_b = part_a + null_a @ u[:ka], part_b + null_b @ u[ka:]
         pair = TrigPolynomial("cos", coeff_a), TrigPolynomial("sin", coeff_b)
-        total = _squared_magnitude(_square_sum(*pair), fine.size)
+        where, total = _refined_squared_magnitude(_square_sum(*pair), fine.size, _HOT)
         if float(total.max()) <= 1.0 + _POSITIVITY_SLACK:
             break
-        hot = fine[total > 1.0 - 1e-4]
+        hot = fine[where[total > _HOT]]
         grid = np.unique(np.concatenate([np.linspace(0.0, pi, 2001), hot]))
     return coeff_a, coeff_b
 
@@ -422,7 +479,7 @@ def complete_cd(
     if scale < 1e-12:
         return TrigPolynomial("sin", [0.0]), TrigPolynomial("cos", [0.0])
     # The gate of squared_magnitude_overshoot, read from the same product.
-    low = -(float(_squared_magnitude(s, 100001).max()) - 1.0)
+    low = -(_gate_peak(s) - 1.0)
     if low < -_POSITIVITY_SLACK:
         raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 

@@ -24,8 +24,10 @@ def test_hex_round_trip_majority():
 
 
 def test_from_hex_rejects_oversized_payload():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more bits than the arity allows"):
         boolfun.BooleanFunction.from_hex(2, "1F")
+    with pytest.raises(ValueError, match="must not carry a sign"):
+        boolfun.BooleanFunction.from_hex(2, "-6")
 
 
 @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))

@@ -407,6 +407,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+def test_signed_hex_table_is_a_usage_error(capsys):
+    for table in ("-6", "+6", " -E8"):
+        code, out, err = _run(capsys, ["bounds", "--table", table, "--n", "2"])
+        assert (code, out) == (2, ""), table
+        assert err == "error: hex string must not carry a sign\n", table
+
+
 def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
     malformed = [
         {"n": 3, "gates": [{"name": "x", "control": 1.5}]},

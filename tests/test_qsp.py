@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -152,19 +153,70 @@ def test_quadruple_kind_validation():
         qsp.QspQuadruple(cosp, cosp, sinp, cosp)
 
 
+@functools.cache
+def _arity_pairs(n: int) -> tuple:
+    """(A, B) from solve_ab for every symmetric profile of arity n with
+    f(0) = 0, on the schedule synthesize takes; shared by the tests."""
+    pairs = []
+    for tail in itertools.product((0, 1), repeat=n):
+        spec = boolfun.SymmetricSpec(n, (0, *tail))
+        try:
+            pairs.append(qsp.solve_ab(spec, qsp.signal_params(spec)))
+        except qsp.SolveError:
+            pairs.append(qsp.solve_ab(spec, qsp.signal_params_general(n)))
+    return tuple(pairs)
+
+
+def _assert_refined_grid_is_the_full_grid(s, points):
+    """The refined maximum and the set above the polish threshold are the
+    full FFT grid's."""
+    full = qsp._squared_magnitude(s, points)
+    _, values = qsp._refined_squared_magnitude(s, points)
+    assert abs(float(values.max()) - float(full.max())) <= 1e-13
+    where, values = qsp._refined_squared_magnitude(s, points, qsp._HOT)
+    hot = np.sort(where[values > qsp._HOT])
+    assert np.array_equal(hot, np.flatnonzero(full > qsp._HOT))
+
+
 def test_squared_magnitude_kernel_matches_direct_evaluation():
     rng = np.random.default_rng(20240614)
     for L in range(1, 42, 2):
         size = (L + 1) // 2
         a = qsp.TrigPolynomial("cos", rng.uniform(-1, 1, size) / size)
         b = qsp.TrigPolynomial("sin", rng.uniform(-1, 1, rng.integers(1, size + 1)) / size)
+        s = qsp._square_sum(a, b)
         for points in (101, 100001, 200001):
             grid = np.linspace(0.0, math.pi, points)
             np.testing.assert_allclose(
-                qsp._squared_magnitude(qsp._square_sum(a, b), points),
+                qsp._squared_magnitude(s, points),
                 a(grid) ** 2 + b(grid) ** 2,
                 rtol=0, atol=1e-12,
             )
+            if points > 101:
+                _assert_refined_grid_is_the_full_grid(s, points)
+    for a, b in itertools.chain.from_iterable(map(_arity_pairs, range(1, 7))):
+        for points in (qsp._GATE_POINTS, qsp._POLISH_POINTS):
+            _assert_refined_grid_is_the_full_grid(qsp._square_sum(a, b), points)
+
+
+def test_refined_grid_finds_a_peak_inside_a_coarse_cell():
+    """A^2 peaks at fine point 30005, halfway between coarse points 30000
+    and 30010, and nowhere else above level: only the cell bound sends the
+    refinement into that cell."""
+    points = qsp._GATE_POINTS
+    peak = 30005 * (math.pi / (points - 1))
+    # A = p cos(phi / 2) + cos(3 phi / 2) has A'(peak) = 0; scaled so |A| <= 1.
+    p = -3.0 * math.sin(1.5 * peak) / math.sin(0.5 * peak)
+    top = abs(p * math.cos(0.5 * peak) + math.cos(1.5 * peak))
+    a = qsp.TrigPolynomial("cos", [p / top, 1.0 / top])
+    s = qsp._square_sum(a, qsp.TrigPolynomial("sin", [0.0]))
+    full = qsp._squared_magnitude(s, points)
+    assert int(np.argmax(full)) == 30005
+    level = 0.5 * (full[30005] + max(full[30004], full[30006]))
+    assert np.flatnonzero(full >= level).tolist() == [30005]
+    where, values = qsp._refined_squared_magnitude(s, points, level)
+    assert 30005 in where
+    assert abs(float(values.max()) - float(full.max())) <= 1e-13
 
 
 def test_completion_rejects_oversized_components():
@@ -227,13 +279,7 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
     """On the (A, B) pair of every symmetric profile with n <= 5."""
     parities = []
     for n in range(1, 6):
-        for tail in itertools.product((0, 1), repeat=n):
-            spec = boolfun.SymmetricSpec(n, (0, *tail))
-            params = qsp.signal_params(spec)
-            try:
-                a, b = qsp.solve_ab(spec, params)
-            except qsp.SolveError:
-                a, b = qsp.solve_ab(spec, qsp.signal_params_general(n))
+        for a, b in _arity_pairs(n):
             L = max(a.degree, b.degree)
             for poly in (a, b):
                 for size in (poly.degree, L):
@@ -269,13 +315,7 @@ def test_unitarity_defect_matches_the_grid_evaluation():
     """On every symmetric profile with n <= 5 whose (A, B) completes."""
     checked = 0
     for n in range(1, 6):
-        for tail in itertools.product((0, 1), repeat=n):
-            spec = boolfun.SymmetricSpec(n, (0, *tail))
-            params = qsp.signal_params(spec)
-            try:
-                a, b = qsp.solve_ab(spec, params)
-            except qsp.SolveError:
-                a, b = qsp.solve_ab(spec, qsp.signal_params_general(n))
+        for a, b in _arity_pairs(n):
             try:
                 quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
             except qsp.CompletionError:
