@@ -10,15 +10,13 @@ diffing the two listings:
     PYTHONPATH=src python3 scripts/cli_identity.py > new.txt
     diff old.txt new.txt
 
-Give both runs the same BLAS thread count (for example
-OPENBLAS_NUM_THREADS=1): the synth results of polished profiles depend
-on it.  Every written path lies under --workdir (default: a fixed
-directory in the system temp dir), so both runs print the same paths.
+Every written path lies under --workdir (default: a fixed directory in
+the system temp dir), so both runs print the same paths.
 The corpus: classical, bounds and synth (text, JSON, --out) for every
 named family at n = 3..7; classical and bounds (text and JSON) on
 seeded non-symmetric tables at n = 7..10, uniform, sparse and
 near-affine; synth --format json for every symmetric profile with
-n <= 8 (n = 8 is where the minimax polish fires most); simulate of each
+n <= 8; simulate of each
 written circuit with --eps/--shots/--seed, JSON and --out; direct
 synthesis at n = 4, 6, 12; crossover; usage and argparse errors, and
 simulate of malformed circuit files.  It takes a few minutes.

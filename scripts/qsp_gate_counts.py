@@ -5,10 +5,16 @@ factor angles, compile, merge) for symmetric targets and prints the
 degree, raw and merged entangling counts, the mean success, and the
 phase class.  A target the pipeline refuses gets a `refused` row naming
 the failing stage's error.  Hand constructions are listed alongside for
-comparison.
+comparison.  A per-arity summary over every symmetric profile with
+f(0) = 0 (a profile with f(0) = 1 gets the same circuit plus a trailing
+X) follows: how many settle at each degree L, and the min, median and
+max merged entangling count.
 """
 
 import argparse
+import itertools
+import statistics
+from collections import Counter
 
 from limspace import boolfun, circuits, qsp, simulate
 
@@ -39,6 +45,28 @@ def _direct_row(label, c, f):
     )
 
 
+def _arity_summary(n):
+    degrees = Counter()
+    merged = []
+    refused = 0
+    for tail in itertools.product((0, 1), repeat=n):
+        spec = boolfun.SymmetricSpec(n, (0, *tail))
+        try:
+            params, angles = qsp.synthesize(spec)
+        except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError):
+            refused += 1
+            continue
+        degrees[params.L] += 1
+        compiled = circuits.compile_qsp(spec, angles, params)
+        merged.append(circuits.entangling_count(circuits.merge_adjacent(compiled)))
+    counts = " ".join(f"L={L}:{k}" for L, k in sorted(degrees.items()))
+    spread = (
+        f"merged min={min(merged)} median={statistics.median(merged):g} max={max(merged)}"
+        if merged else "merged -"
+    )
+    print(f"n={n:<3} profiles={1 << n:<5} {counts} refused:{refused}  {spread}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
@@ -57,6 +85,10 @@ def main() -> None:
         if n % 2 == 0:
             _direct_row(f"ip{n}", circuits.ip_circuit(n), boolfun.ip(n))
     _direct_row("slsb3fig", circuits.builtin_slsb3_fig1(), boolfun.slsb(3))
+
+    print("\nevery profile with f(0) = 0, per arity")
+    for n in range(1, args.max_n + 1):
+        _arity_summary(n)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ the floats are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import log2, sqrt, pi
 
@@ -71,6 +72,9 @@ class BooleanFunction:
         # int() would read a sign, and a negative table then reads as too wide.
         if text.lstrip()[:1] in ("+", "-"):
             raise ValueError("hex string must not carry a sign")
+        # int() would also read a 0x prefix, underscores and surrounding blanks.
+        if re.fullmatch("[0-9A-Fa-f]+", text) is None:
+            raise ValueError("hex string must consist of hex digits only")
         value = int(text, 16)
         if value >> (1 << n):
             raise ValueError("hex string encodes more bits than the arity allows")

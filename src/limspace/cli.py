@@ -7,10 +7,7 @@ on usage or IO problems.  Usage problems include an --eps outside
 --asp-tol, and direct synthesis at an arity its construction lacks
 (slsb at n = 1).  The one random draw, the Monte Carlo estimate
 of `simulate --shots`, is seeded by --seed (default 20240614), which only
-`simulate` accepts.  Output depends only on the command line, except
-where `synth` polishes a profile's interpolant: that SLSQP solve runs on
-the BLAS, so its coefficients, and with them whether completion succeeds,
-depend on the BLAS build, the CPU and the BLAS thread count.
+`simulate` accepts.  Output depends only on the command line.
 """
 
 from __future__ import annotations

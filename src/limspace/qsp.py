@@ -40,7 +40,7 @@ _Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 class SolveError(Exception):
-    """Interpolation system is rank deficient or misses its targets."""
+    """Interpolation system misses its targets."""
 
 
 class CompletionError(Exception):
@@ -68,14 +68,16 @@ class SignalParams:
         return self.step * np.asarray(w, dtype=float) - self.offset
 
 
-def signal_params_general(n: int) -> SignalParams:
-    """Degree 4n + 1 schedule for any symmetric target of arity n.
+def signal_params_general(n: int, L: int | None = None) -> SignalParams:
+    """Schedule phi_w = pi w / (n + 1) for any symmetric target of arity n.
 
-    Some profiles are refused: complete_cd raises CompletionError for 4 of
-    32 profiles at n = 4, 14 of the 56 without majority symmetry at n = 5,
-    and 24 of 128 at n = 6.
+    L defaults to 4n + 1, the least degree whose 2n + 1 coefficients per
+    polynomial meet the value and flat derivative at all n + 1 weight
+    points.  That pair need not complete (A^2 + B^2 can exceed one between
+    weight points), so synthesize searches L = 4n + 1, 4n + 3, 4n + 5,
+    4n + 7; every profile with n <= 10 completes at one of them.
     """
-    return SignalParams(pi / (n + 1), 0.0, 4 * n + 1)
+    return SignalParams(pi / (n + 1), 0.0, 4 * n + 1 if L is None else L)
 
 
 def signal_params_maj(n: int) -> SignalParams:
@@ -155,8 +157,6 @@ _DERIVATIVE = {"cos": ("sin", -0.5), "sin": ("cos", 0.5)}
 
 
 _POSITIVITY_SLACK = 1e-9
-_POLISH_STAGES = 3
-_HOT = 1.0 - 1e-4  # the polish refines its SLSQP grid where A^2 + B^2 exceeds this
 _TARGET_TOL = 1e-10
 
 
@@ -165,16 +165,13 @@ def solve_ab(
 ) -> tuple[TrigPolynomial, TrigPolynomial]:
     """Interpolate A and B through the weight-point targets.
 
-    Targets are A(phi_w) = 1 - f(w) and B(phi_w) = f(w).  Derivatives are
-    pinned to zero at every weight point when that admits a completable
-    pair (max A^2 + B^2 <= 1); otherwise only the tangency-forced subset
-    is pinned: A' where A = 1 and B' where B = 1.  Where A^2 + B^2 touches
-    its ceiling the derivative of the pinned polynomial must vanish, but
-    the other one is genuinely free, and that freedom is what makes
-    general signal parameters work (the unique fully-pinned solution can
-    overshoot one between weight points).  A target with f(0^n) = 1 is
-    complemented first; callers account for the flip by checking f(0^n)
-    themselves.
+    Targets are A(phi_w) = 1 - f(w) and B(phi_w) = f(w), with a zero
+    derivative of both at every weight point.  Above the least degree the
+    system has more coefficients than independent rows, and the
+    minimum-norm solution is taken.  Whether the pair completes (max
+    A^2 + B^2 <= 1) is complete_cd's decision.  A target with f(0^n) = 1
+    is complemented first; callers account for the flip by checking
+    f(0^n) themselves.
     """
     values = list(f.by_weight)
     if values[0] == 1:
@@ -185,43 +182,31 @@ def solve_ab(
     a_target = 1.0 - np.asarray(values, dtype=float)
     b_target = np.asarray(values, dtype=float)
 
+    if params.maj_symmetry and not _majority_symmetric(values):
+        raise SolveError("maj shortcut needs f(w) + f(n-w) = 1 at every weight")
+    a = _solve_pinned("cos", phis, a_target, params.L)
     if params.maj_symmetry:
-        if not _majority_symmetric(values):
-            raise SolveError("maj shortcut needs f(w) + f(n-w) = 1 at every weight")
-        a = _solve_pinned("cos", phis, a_target, params.L)
         # B(t) = A(-it): in half-angle series b_k = (-1)^k a_k.
         signs = (-1.0) ** np.arange(a.coeffs.size)
         b = TrigPolynomial("sin", signs * a.coeffs)
-        mask_a = mask_b = np.ones(phis.size, dtype=bool)
     else:
-        a, b, mask_a, mask_b = _solve_general(phis, a_target, b_target, params.L)
+        b = _solve_pinned("sin", phis, b_target, params.L)
 
-    _check_targets(a, b, phis, a_target, b_target, mask_a, mask_b)
+    _check_targets(a, b, phis, a_target, b_target)
     return a, b
-
-
-def _basis_rows(kind: str, phis: np.ndarray, L: int):
-    size = (L + 1) // 2
-    other, slope = _DERIVATIVE[kind]
-    harmonics = 2.0 * np.arange(size) + 1.0
-    derivs = _half_angle_basis(other, phis, size) * (slope * harmonics)
-    return harmonics, _half_angle_basis(kind, phis, size), derivs
 
 
 def _solve_pinned(
     kind: str, phis: np.ndarray, targets: np.ndarray, L: int
 ) -> TrigPolynomial:
-    """Values plus zero derivative at every weight point."""
-    import scipy.linalg
-
-    harmonics, value_rows, deriv_rows = _basis_rows(kind, phis, L)
-    rows = np.vstack([value_rows, deriv_rows])
+    """Values plus zero derivative at every weight point, minimum-norm."""
+    size = (L + 1) // 2
+    other, slope = _DERIVATIVE[kind]
+    harmonics = 2.0 * np.arange(size) + 1.0
+    derivs = _half_angle_basis(other, phis, size) * (slope * harmonics)
+    rows = np.vstack([_half_angle_basis(kind, phis, size), derivs])
     rhs = np.concatenate([targets, np.zeros(phis.size)])
-    coeffs, _, rank, _ = scipy.linalg.lstsq(rows, rhs, lapack_driver="gelsy")
-    if rank < harmonics.size:
-        raise SolveError(
-            f"{kind} system is rank deficient (rank {rank} of {harmonics.size})"
-        )
+    coeffs = np.linalg.lstsq(rows, rhs, rcond=None)[0]
     residual = float(np.max(np.abs(rows @ coeffs - rhs)))
     if residual > 1e-10:
         raise SolveError(f"{kind} system residual {residual:.3e} exceeds 1e-10")
@@ -247,39 +232,36 @@ def _squared_magnitude(s: np.ndarray, points: int) -> np.ndarray:
     The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
     z it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the inverse real
     FFT of s_0..s_L at length 2 (points - 1), scaled by that length.  The
-    fine positivity grids take it on every _CELL-th point only, refining
-    the cells that can reach the level they decide at
-    (_refined_squared_magnitude), so their decisions are the full grid's.
+    fine positivity grid takes it on every _CELL-th point only, refining
+    the cells that can reach the coarse maximum
+    (_refined_squared_magnitude), so its maximum is the full grid's.
     """
     size = 2 * (points - 1)
     return np.fft.irfft(s[s.size // 2 :], n=size)[:points] * size
 
 
-# A coarse cell spans this many steps of the fine positivity grids; the
-# coarse grid needs more than L + 1 points (arity 24 gives L = 97).
+# A coarse cell spans this many steps of the fine positivity grid; the
+# coarse grid needs more than L + 1 points (arity 24 gives L = 103).
 _CELL = 10
 _GATE_POINTS = 100001
-_POLISH_POINTS = 200001
 
 
 def _refined_squared_magnitude(
-    s: np.ndarray, points: int, level: float | None = None
+    s: np.ndarray, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sum of squares s on the points of linspace(0, pi, points) that
-    can reach level, as (grid indices, values); points - 1 must be a
-    multiple of _CELL.  level defaults to the coarse maximum.
+    can reach the coarse maximum, as (grid indices, values); points - 1
+    must be a multiple of _CELL.
 
     Every _CELL-th grid point comes from the FFT kernel on the coarse grid,
     whose points they are.  On a cell of width h the sum is at most its
     larger end plus h^2 / 8 max|v''|, and |v''| <= 2 sum_k k^2 |s_k|; every
-    cell whose bound (plus 1e-12 for rounding) reaches level has its inner
-    points evaluated directly, as s_0 + 2 sum_k s_k cos(k phi).  So every
-    grid point at or above level is among those returned, and the maximum
-    and the set above level are the full grid's (to rounding).
+    cell whose bound (plus 1e-12 for rounding) reaches the coarse maximum
+    has its inner points evaluated directly, as s_0 + 2 sum_k s_k cos(k phi).
+    So the grid's maximum is among the points returned (to rounding).
     """
     coarse = _squared_magnitude(s, (points - 1) // _CELL + 1)
-    if level is None:
-        level = float(coarse.max())
+    level = float(coarse.max())
     L = s.size // 2
     k = np.arange(1, L + 1)
     step = pi / (points - 1)
@@ -295,11 +277,6 @@ def _refined_squared_magnitude(
     return indices, np.concatenate([coarse, values])
 
 
-def _gate_peak(s: np.ndarray) -> float:
-    """max of the sum of squares s on the _GATE_POINTS-point grid over [0, pi]."""
-    return float(_refined_squared_magnitude(s, _GATE_POINTS)[1].max())
-
-
 def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
     """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0.
 
@@ -307,115 +284,25 @@ def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
     that can hold its maximum: the value, and so every decision taken on
     it, is the full grid's.
     """
-    return _gate_peak(_square_sum(a, b)) - 1.0
+    peak = _refined_squared_magnitude(_square_sum(a, b), _GATE_POINTS)[1].max()
+    return float(peak) - 1.0
 
 
-def _solve_general(
-    phis: np.ndarray, a_target: np.ndarray, b_target: np.ndarray, L: int
-):
-    import scipy.linalg
+def _minimax_polish(*args, **kwargs):
+    """Removed: synthesis no longer polishes an interpolant.
 
-    try:
-        a = _solve_pinned("cos", phis, a_target, L)
-        b = _solve_pinned("sin", phis, b_target, L)
-    except SolveError:
-        pass
-    else:
-        if squared_magnitude_overshoot(a, b) <= _POSITIVITY_SLACK:
-            full = np.ones(phis.size, dtype=bool)
-            return a, b, full, full
-
-    # Tangency-forced rows only; the leftover null-space freedom is spent
-    # pushing max(A^2 + B^2) down to one.
-    mask_a = a_target > 0.5
-    mask_b = b_target > 0.5
-    harmonics, a_vals, a_ders = _basis_rows("cos", phis, L)
-    _, b_vals, b_ders = _basis_rows("sin", phis, L)
-    rows_a = np.vstack([a_vals, a_ders[mask_a]])
-    rhs_a = np.concatenate([a_target, np.zeros(int(mask_a.sum()))])
-    rows_b = np.vstack([b_vals, b_ders[mask_b]])
-    rhs_b = np.concatenate([b_target, np.zeros(int(mask_b.sum()))])
-    part_a, *_ = scipy.linalg.lstsq(rows_a, rhs_a, lapack_driver="gelsd")
-    part_b, *_ = scipy.linalg.lstsq(rows_b, rhs_b, lapack_driver="gelsd")
-    residual = max(
-        float(np.max(np.abs(rows_a @ part_a - rhs_a))),
-        float(np.max(np.abs(rows_b @ part_b - rhs_b))),
-    )
-    if residual > 1e-10:
-        raise SolveError(f"forced-row residual {residual:.3e} exceeds 1e-10")
-
-    a = TrigPolynomial("cos", part_a)
-    b = TrigPolynomial("sin", part_b)
-    if squared_magnitude_overshoot(a, b) > _POSITIVITY_SLACK:
-        null_a = scipy.linalg.null_space(rows_a)
-        null_b = scipy.linalg.null_space(rows_b)
-        if null_a.shape[1] + null_b.shape[1] > 0:
-            coeff_a, coeff_b = _minimax_polish(
-                part_a, null_a, part_b, null_b, harmonics
-            )
-            a = TrigPolynomial("cos", coeff_a)
-            b = TrigPolynomial("sin", coeff_b)
-    return a, b, mask_a, mask_b
-
-
-def _minimax_polish(
-    part_a: np.ndarray,
-    null_a: np.ndarray,
-    part_b: np.ndarray,
-    null_b: np.ndarray,
-    harmonics: np.ndarray,
-):
-    """Minimize max(A^2 + B^2) over the affine family of interpolants.
-
-    Pointwise A^2 + B^2 is a convex quadratic in the free coordinates, so
-    the epigraph program is convex and the solver reaches the global
-    optimum; refining the grid near active maxima tightens the finite-grid
-    relaxation between _POLISH_STAGES stages.  Each stage checks the
-    result on the 200001-point grid from a coarse FFT plus the cells that
-    can exceed _HOT: the early exit and the hot points added to the SLSQP
-    grid (the floats of linspace(0, pi, 200001)) are the full grid's.
+    The name stays because bench/tracing.py resolves it when it installs
+    its counters, and reports a count of calls (always 0 now).
     """
-    import scipy.optimize
-
-    ka = null_a.shape[1]
-    kb = null_b.shape[1]
-    u = np.zeros(ka + kb)
-    fine = np.linspace(0.0, pi, _POLISH_POINTS)
-    grid = np.linspace(0.0, pi, 2001)
-    for _ in range(_POLISH_STAGES):
-        cos_rows = _half_angle_basis("cos", grid, harmonics.size)
-        sin_rows = _half_angle_basis("sin", grid, harmonics.size)
-
-        def squared(v):
-            A = cos_rows @ (part_a + null_a @ v[:ka])
-            B = sin_rows @ (part_b + null_b @ v[ka:])
-            return A * A + B * B
-
-        z0 = np.concatenate([u, [float(squared(u).max()) + 1e-12]])
-        result = scipy.optimize.minimize(
-            lambda z: z[-1],
-            z0,
-            method="SLSQP",
-            constraints=[{"type": "ineq", "fun": lambda z: z[-1] - squared(z[:-1])}],
-            options={"maxiter": 1000, "ftol": 1e-16},
-        )
-        u = result.x[:-1]
-        coeff_a, coeff_b = part_a + null_a @ u[:ka], part_b + null_b @ u[ka:]
-        pair = TrigPolynomial("cos", coeff_a), TrigPolynomial("sin", coeff_b)
-        where, total = _refined_squared_magnitude(_square_sum(*pair), fine.size, _HOT)
-        if float(total.max()) <= 1.0 + _POSITIVITY_SLACK:
-            break
-        hot = fine[where[total > _HOT]]
-        grid = np.unique(np.concatenate([np.linspace(0.0, pi, 2001), hot]))
-    return coeff_a, coeff_b
+    raise NotImplementedError("the minimax polish was removed; nothing calls it")
 
 
-def _check_targets(a, b, phis, a_target, b_target, mask_a, mask_b) -> None:
+def _check_targets(a, b, phis, a_target, b_target) -> None:
     worst = max(
         float(np.max(np.abs(a(phis) - a_target))),
         float(np.max(np.abs(b(phis) - b_target))),
-        float(np.max(np.abs(a.derivative(phis[mask_a])))) if mask_a.any() else 0.0,
-        float(np.max(np.abs(b.derivative(phis[mask_b])))) if mask_b.any() else 0.0,
+        float(np.max(np.abs(a.derivative(phis)))),
+        float(np.max(np.abs(b.derivative(phis)))),
     )
     if worst > _TARGET_TOL:
         raise SolveError(f"constraint residual {worst:.3e} exceeds {_TARGET_TOL:.1e}")
@@ -478,8 +365,7 @@ def complete_cd(
     scale = float(np.max(np.abs(r_full)))
     if scale < 1e-12:
         return TrigPolynomial("sin", [0.0]), TrigPolynomial("cos", [0.0])
-    # The gate of squared_magnitude_overshoot, read from the same product.
-    low = -(_gate_peak(s) - 1.0)
+    low = -squared_magnitude_overshoot(a, b)
     if low < -_POSITIVITY_SLACK:
         raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 
@@ -494,24 +380,19 @@ def complete_cd(
         root = float(np.sqrt(r[0]))
         return TrigPolynomial("sin", [root]), TrigPolynomial("cos", [root])
 
-    roots = np.roots(r[::-1])
-    last_error: CompletionError
-    for unit_tol in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
-        try:
-            selected = _pair_roots(roots, unit_tol)
-            c, d = _build_cd(selected, r, m)
-        except CompletionError as exc:
-            last_error = exc
-            continue
-        defect = QspQuadruple(a, b, c, d).unitarity_defect()
-        if defect <= 1e-8:
-            return c, d
-        last_error = CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
-    raise last_error
+    c, d = _build_cd(_pair_roots(np.roots(r[::-1])), r, m)
+    defect = QspQuadruple(a, b, c, d).unitarity_defect()
+    if defect > 1e-8:
+        raise CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
+    return c, d
 
 
-def _pair_roots(roots: np.ndarray, unit_tol: float) -> np.ndarray:
-    on_circle = np.abs(np.abs(roots) - 1.0) < unit_tol
+# A root this close to the unit circle counts as on it.
+_UNIT_TOL = 1e-7
+
+
+def _pair_roots(roots: np.ndarray) -> np.ndarray:
+    on_circle = np.abs(np.abs(roots) - 1.0) < _UNIT_TOL
     unit = roots[on_circle]
     rest = roots[~on_circle]
     if unit.size % 2:
@@ -673,20 +554,29 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     return angles
 
 
+# synthesize tries the general schedule at this many odd degrees from 4n + 1.
+_GENERAL_DEGREES = 4
+
+
 def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
     """The schedule and angles that compute f: choose, interpolate, complete, factor.
 
-    When the majority schedule's interpolation fails, the general schedule
-    is tried instead; the returned params are the ones used.  Raises the
-    failing stage's SolveError, CompletionError or AngleFindingError.
+    The majority schedule is taken where it applies and its pair solves
+    and completes; otherwise the general schedule at the first degree
+    L = 4n + 1, 4n + 3, 4n + 5, 4n + 7 whose pair does.  The returned params
+    are the ones used.  Raises the last SolveError or CompletionError when
+    no degree up to 4n + 7 does, and an AngleFindingError at once.
     """
-    params = signal_params(f)
-    try:
-        a, b = solve_ab(f, params)
-    except SolveError:
-        if not params.maj_symmetry:
-            raise
-        params = signal_params_general(f.n)
-        a, b = solve_ab(f, params)
-    c, d = complete_cd(a, b)
-    return params, find_angles(QspQuadruple(a, b, c, d))
+    n = f.n
+    first = signal_params(f)
+    schedules = [first] if first.maj_symmetry else []
+    schedules += [signal_params_general(n, 4 * n + 1 + 2 * k) for k in range(_GENERAL_DEGREES)]
+    for params in schedules:
+        try:
+            a, b = solve_ab(f, params)
+            c, d = complete_cd(a, b)
+        except (SolveError, CompletionError) as exc:
+            last = exc
+            continue
+        return params, find_angles(QspQuadruple(a, b, c, d))
+    raise last

@@ -196,8 +196,10 @@ def test_criterion_5_exact_circuits():
     _report(5, not bad, "; ".join(bad))
 
 
-def _pipeline_case(spec, params, f):
+def _pipeline_case(spec, f):
+    """The schedule synthesize settles on, re-run stage by stage and checked."""
     issues = []
+    params, _ = qsp.synthesize(spec)
     a, b = qsp.solve_ab(spec, params)
     c_poly, d_poly = qsp.complete_cd(a, b)
     quad = qsp.QspQuadruple(a, b, c_poly, d_poly)
@@ -236,21 +238,21 @@ def _pipeline_case(spec, params, f):
     merged = circuits.merge_adjacent(compiled)
     if circuits.entangling_count(merged) > spec.n * params.L:
         issues.append("merged entangling count exceeds n*L")
-    return issues, circuits.entangling_count(merged)
+    return params, issues, circuits.entangling_count(merged)
 
 
 def test_criterion_6_signal_processing_pipeline():
     cases = (
-        ("maj3", boolfun.maj_spec(3), qsp.signal_params_maj(3), boolfun.maj(3), 7),
-        ("maj5", boolfun.maj_spec(5), qsp.signal_params_maj(5), boolfun.maj(5), 11),
-        ("slsb4", boolfun.slsb_spec(4), qsp.signal_params_general(4), boolfun.slsb(4), 17),
+        ("maj3", boolfun.maj_spec(3), boolfun.maj(3), 7),
+        ("maj5", boolfun.maj_spec(5), boolfun.maj(5), 11),
+        ("slsb4", boolfun.slsb_spec(4), boolfun.slsb(4), 19),
     )
     bad = []
     merged_counts = []
-    for name, spec, params, f, want_L in cases:
+    for name, spec, f, want_L in cases:
+        params, issues, merged = _pipeline_case(spec, f)
         if params.L != want_L:
             bad.append(f"{name}: L={params.L} != {want_L}")
-        issues, merged = _pipeline_case(spec, params, f)
         bad.extend(f"{name}: {msg}" for msg in issues)
         merged_counts.append(f"{name}={merged}")
     print(f"criterion 6 info: merged entangling counts {', '.join(merged_counts)}")

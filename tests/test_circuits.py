@@ -310,7 +310,7 @@ def test_compile_qsp_majority():
 
 def test_compile_qsp_general_path():
     spec = boolfun.slsb_spec(4)
-    params = qsp.signal_params_general(4)
+    params = qsp.signal_params_general(4, 19)  # where synthesize settles for slsb4
     c, xi = _compiled(spec, params)
     assert circuits.entangling_count(c) == 4 * params.L
     result = simulate.asp(c, boolfun.slsb(4))

@@ -287,7 +287,7 @@ def test_synth_anti_symmetric_profile_falls_back_to_the_general_schedule(capsys)
     code, out, err = _run(capsys, ["synth", "--fn", "slsb", "--n", "7", "--format", "json"])
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert payload["degree"] == 29
+    assert payload["degree"] == 31
     assert payload["asp"] >= 1.0 - 1e-9
 
 
@@ -414,6 +414,15 @@ def test_signed_hex_table_is_a_usage_error(capsys):
         assert err == "error: hex string must not carry a sign\n", table
 
 
+def test_hex_table_with_prefix_underscore_or_blanks_is_a_usage_error(capsys):
+    for table in ("0xE8", "E_8", " E8 ", "E8\n", ""):
+        code, out, err = _run(capsys, ["classical", "--table", table, "--n", "3"])
+        assert (code, out) == (2, ""), table
+        assert err == "error: hex string must consist of hex digits only\n", table
+    code, out, _ = _run(capsys, ["classical", "--table", "e8", "--n", "3"])
+    assert code == 0 and "R = 7/8" in out
+
+
 def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
     malformed = [
         {"n": 3, "gates": [{"name": "x", "control": 1.5}]},
@@ -448,12 +457,18 @@ def test_module_entry_point():
     assert proc.stdout.startswith("gmax=0.25")
 
 
-def test_classical_and_bounds_leave_scipy_unloaded():
+def test_classical_and_bounds_leave_scipy_unloaded(tmp_path):
+    """Nor do synth, on the majority and the general schedule, and simulate."""
+    circuit = str(tmp_path / "slsb7.json")
     code = (
         "import sys\n"
         "from limspace import cli\n"
         "assert cli.main(['bounds', '--fn', 'slsb', '--n', '6']) == 0\n"
         "assert cli.main(['classical', '--fn', 'maj', '--n', '5']) == 0\n"
+        "assert cli.main(['synth', '--fn', 'maj', '--n', '5']) == 0\n"
+        f"assert cli.main(['synth', '--fn', 'slsb', '--n', '7', '--out', {circuit!r}]) == 0\n"
+        f"assert cli.main(['simulate', '--circuit', {circuit!r}, '--fn', 'slsb', '--n', '7',"
+        " '--eps', '0.01', '--shots', '100']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(

@@ -1,19 +1,24 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limspace import boolfun, qsp
+from limspace import boolfun, circuits, qsp, simulate
 
 
-def _solved_quadruple(spec, params):
+def _solved_quadruple(spec):
+    """The quadruple on the schedule and degree synthesize settles on."""
+    params, _ = qsp.synthesize(spec)
     a, b = qsp.solve_ab(spec, params)
     c, d = qsp.complete_cd(a, b)
-    return qsp.QspQuadruple(a, b, c, d)
+    return params, qsp.QspQuadruple(a, b, c, d)
 
 
 def test_signal_params_layout():
@@ -42,21 +47,35 @@ def test_signal_params_follows_the_anti_symmetry_rule():
     assert anti_profiles == 2 + 4 + 8 + 16  # 2^((n+1)/2) for n = 1, 3, 5, 7
 
 
-def test_synthesize_chooses_the_schedule_and_raises_the_stage_error():
+def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch):
     params, angles = qsp.synthesize(boolfun.maj_spec(5))
     assert params == qsp.signal_params_maj(5)
     assert angles.L == params.L
+    # slsb4's pair at 4n + 1 overshoots one; the search moves up to 4n + 3.
+    with pytest.raises(qsp.CompletionError, match="P dips"):
+        qsp.complete_cd(*qsp.solve_ab(boolfun.slsb_spec(4), qsp.signal_params_general(4)))
     params, _ = qsp.synthesize(boolfun.slsb_spec(4))
-    assert params == qsp.signal_params_general(4)
+    assert params == qsp.signal_params_general(4, 19)
     # Anti-symmetric profiles whose majority-schedule system is infeasible
     # fall back to the general schedule and return the params they used.
     with pytest.raises(qsp.SolveError, match="cos system residual"):
         qsp.solve_ab(boolfun.slsb_spec(7), qsp.signal_params_maj(7))
     params, angles = qsp.synthesize(boolfun.slsb_spec(7))
-    assert params == qsp.signal_params_general(7)
-    assert angles.L == params.L == 29
-    with pytest.raises(qsp.CompletionError, match="completion defect"):
-        qsp.synthesize(boolfun.SymmetricSpec(4, (0, 1, 1, 0, 0)))
+    assert params == qsp.signal_params_general(7, 31)
+    assert angles.L == params.L == 31
+    params, angles = qsp.synthesize(boolfun.SymmetricSpec(4, (0, 1, 1, 0, 0)))
+    assert angles.L == params.L == 19
+    # At the cap the last stage error is raised: degrees 17, 19, 21, 23 tried.
+    tried = []
+
+    def refuse(a, b):
+        tried.append(max(a.degree, b.degree))
+        raise qsp.CompletionError(f"refused at {tried[-1]}")
+
+    monkeypatch.setattr(qsp, "complete_cd", refuse)
+    with pytest.raises(qsp.CompletionError, match="refused at 23"):
+        qsp.synthesize(boolfun.slsb_spec(4))
+    assert tried == [17, 19, 21, 23]
 
 
 def test_trig_polynomial_evaluation_and_laurent():
@@ -119,11 +138,8 @@ def test_solver_complements_targets_with_true_empty_word():
 
 
 def test_completed_envelope_is_nonnegative_and_unitary():
-    for spec, params in (
-        (boolfun.maj_spec(3), qsp.signal_params_maj(3)),
-        (boolfun.slsb_spec(4), qsp.signal_params_general(4)),
-    ):
-        a, b = qsp.solve_ab(spec, params)
+    for spec in (boolfun.maj_spec(3), boolfun.slsb_spec(4)):
+        a, b = qsp.solve_ab(spec, qsp.synthesize(spec)[0])
         grid = np.linspace(-2 * math.pi, 2 * math.pi, 10000)
         p = 1.0 - a(grid) ** 2 - b(grid) ** 2
         assert float(np.min(p)) >= -1e-9
@@ -153,29 +169,66 @@ def test_quadruple_kind_validation():
         qsp.QspQuadruple(cosp, cosp, sinp, cosp)
 
 
+def _profiles(n: int):
+    """Every symmetric profile of arity n with f(0) = 0."""
+    return [boolfun.SymmetricSpec(n, (0, *tail)) for tail in itertools.product((0, 1), repeat=n)]
+
+
+def test_synthesis_is_total_up_to_arity_8():
+    """Every profile with f(0) = 0 and n <= 8 synthesizes within the search,
+    and its compiled and merged circuit computes it."""
+    for n in range(1, 9):
+        for spec in _profiles(n):
+            params, angles = qsp.synthesize(spec)
+            assert angles.L == params.L <= 4 * n + 7, spec
+            merged = circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params))
+            assert simulate.asp(merged, boolfun.make_symmetric(spec)).asp >= 1.0 - 1e-9, spec
+
+
+_ANGLE_DIGEST = """
+import hashlib, itertools
+from limspace import boolfun, qsp
+h = hashlib.sha256()
+for n in range(1, 7):
+    for tail in itertools.product((0, 1), repeat=n):
+        h.update(qsp.synthesize(boolfun.SymmetricSpec(n, (0, *tail)))[1].xi.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_synthesis_does_not_depend_on_the_blas_thread_count():
+    """One sha256 over the angle bytes of every profile with f(0) = 0 and
+    n <= 6, under one and under two BLAS threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsp.__file__)))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _ANGLE_DIGEST],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    digests = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
+
+
 @functools.cache
 def _arity_pairs(n: int) -> tuple:
     """(A, B) from solve_ab for every symmetric profile of arity n with
-    f(0) = 0, on the schedule synthesize takes; shared by the tests."""
-    pairs = []
-    for tail in itertools.product((0, 1), repeat=n):
-        spec = boolfun.SymmetricSpec(n, (0, *tail))
-        try:
-            pairs.append(qsp.solve_ab(spec, qsp.signal_params(spec)))
-        except qsp.SolveError:
-            pairs.append(qsp.solve_ab(spec, qsp.signal_params_general(n)))
-    return tuple(pairs)
+    f(0) = 0, on the schedule and degree synthesize settles on; shared by
+    the tests."""
+    return tuple(qsp.solve_ab(spec, qsp.synthesize(spec)[0]) for spec in _profiles(n))
 
 
 def _assert_refined_grid_is_the_full_grid(s, points):
-    """The refined maximum and the set above the polish threshold are the
-    full FFT grid's."""
+    """The refined maximum is the full FFT grid's, at one of its points."""
     full = qsp._squared_magnitude(s, points)
-    _, values = qsp._refined_squared_magnitude(s, points)
+    where, values = qsp._refined_squared_magnitude(s, points)
     assert abs(float(values.max()) - float(full.max())) <= 1e-13
-    where, values = qsp._refined_squared_magnitude(s, points, qsp._HOT)
-    hot = np.sort(where[values > qsp._HOT])
-    assert np.array_equal(hot, np.flatnonzero(full > qsp._HOT))
+    assert int(np.argmax(full)) in where
 
 
 def test_squared_magnitude_kernel_matches_direct_evaluation():
@@ -192,29 +245,30 @@ def test_squared_magnitude_kernel_matches_direct_evaluation():
                 a(grid) ** 2 + b(grid) ** 2,
                 rtol=0, atol=1e-12,
             )
-            if points > 101:
-                _assert_refined_grid_is_the_full_grid(s, points)
+        _assert_refined_grid_is_the_full_grid(s, qsp._GATE_POINTS)
     for a, b in itertools.chain.from_iterable(map(_arity_pairs, range(1, 7))):
-        for points in (qsp._GATE_POINTS, qsp._POLISH_POINTS):
-            _assert_refined_grid_is_the_full_grid(qsp._square_sum(a, b), points)
+        _assert_refined_grid_is_the_full_grid(qsp._square_sum(a, b), qsp._GATE_POINTS)
 
 
 def test_refined_grid_finds_a_peak_inside_a_coarse_cell():
     """A^2 peaks at fine point 30005, halfway between coarse points 30000
-    and 30010, and nowhere else above level: only the cell bound sends the
-    refinement into that cell."""
+    and 30010.  At phi = 0, a coarse point, it is 1 - 4e-10: the coarse
+    maximum, above both ends of the peak's cell.  Only the cell bound
+    sends the refinement into that cell."""
     points = qsp._GATE_POINTS
     peak = 30005 * (math.pi / (points - 1))
-    # A = p cos(phi / 2) + cos(3 phi / 2) has A'(peak) = 0; scaled so |A| <= 1.
-    p = -3.0 * math.sin(1.5 * peak) / math.sin(0.5 * peak)
-    top = abs(p * math.cos(0.5 * peak) + math.cos(1.5 * peak))
-    a = qsp.TrigPolynomial("cos", [p / top, 1.0 / top])
+    # A = sum_k c_k cos((2k+1) phi / 2) over k < 3 with A(peak) = 1,
+    # A'(peak) = 0 and A(0) = sqrt(1 - 4e-10).
+    j = 2.0 * np.arange(3) + 1.0
+    rows = [np.cos(j * peak / 2), -0.5 * j * np.sin(j * peak / 2), np.ones(3)]
+    a = qsp.TrigPolynomial("cos", np.linalg.solve(rows, [1.0, 0.0, math.sqrt(1 - 4e-10)]))
     s = qsp._square_sum(a, qsp.TrigPolynomial("sin", [0.0]))
     full = qsp._squared_magnitude(s, points)
+    coarse = full[:: qsp._CELL]
     assert int(np.argmax(full)) == 30005
-    level = 0.5 * (full[30005] + max(full[30004], full[30006]))
-    assert np.flatnonzero(full >= level).tolist() == [30005]
-    where, values = qsp._refined_squared_magnitude(s, points, level)
+    assert int(np.argmax(coarse)) == 0
+    assert max(full[30000], full[30010]) < coarse.max()
+    where, values = qsp._refined_squared_magnitude(s, points)
     assert 30005 in where
     assert abs(float(values.max()) - float(full.max())) <= 1e-13
 
@@ -290,18 +344,16 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
             while m > 0 and abs(r_full[L + m]) < 1e-12 * np.max(np.abs(r_full)):
                 m -= 1
             r = r_full[L - m : L + m + 1]
-            try:
-                selected = qsp._pair_roots(np.roots(r[::-1]), 1e-7)
-                c, d = qsp._build_cd(selected, r, m)
-            except qsp.CompletionError:
-                continue
+            selected = qsp._pair_roots(np.roots(r[::-1]))
+            c, d = qsp._build_cd(selected, r, m)
             g = np.poly(selected).real[::-1]
             g = g * np.sqrt(float(r[-1]) / g[0])
             want_c, want_d = _cd_from_dict(g, m)
             assert c.coeffs.tobytes() == want_c.tobytes()
             assert d.coeffs.tobytes() == want_d.tobytes()
             parities.append(m % 2)
-    assert len(parities) > 40 and set(parities) == {0, 1}
+    # Every pair completes at the degree synthesize settles on: 2 + 4 + 8 + 16 + 32.
+    assert len(parities) == 62 and set(parities) == {0, 1}
 
 
 def _defect_on_the_grid(quad):
@@ -312,17 +364,14 @@ def _defect_on_the_grid(quad):
 
 
 def test_unitarity_defect_matches_the_grid_evaluation():
-    """On every symmetric profile with n <= 5 whose (A, B) completes."""
+    """On every symmetric profile with n <= 5, at the degree synthesize settles on."""
     checked = 0
     for n in range(1, 6):
         for a, b in _arity_pairs(n):
-            try:
-                quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
-            except qsp.CompletionError:
-                continue
+            quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
             assert abs(quad.unitarity_defect() - _defect_on_the_grid(quad)) <= 1e-13
             checked += 1
-    assert checked > 40
+    assert checked == 62
 
 
 def test_angle_finding_rejects_nonunitary_quadruples():
@@ -345,7 +394,7 @@ def test_angle_sequence_shape():
 
 
 def test_angle_finding_rejects_a_padded_quadruple():
-    quad = _solved_quadruple(boolfun.maj_spec(3), qsp.signal_params_maj(3))
+    _, quad = _solved_quadruple(boolfun.maj_spec(3))
     parts = (quad.a, quad.b, quad.c, quad.d)
     padded = qsp.QspQuadruple(
         *(qsp.TrigPolynomial(p.kind, np.append(p.coeffs, 0.0)) for p in parts)
@@ -356,7 +405,7 @@ def test_angle_finding_rejects_a_padded_quadruple():
 
 
 def test_batched_evaluation_matches_per_angle_evaluation():
-    quad = _solved_quadruple(boolfun.slsb_spec(4), qsp.signal_params_general(4))
+    _, quad = _solved_quadruple(boolfun.slsb_spec(4))
     angles = qsp.find_angles(quad)
     phis = np.random.default_rng(7).uniform(-2 * math.pi, 2 * math.pi, size=(4, 25))
     for evaluate in (lambda p: qsp.reconstruct(angles, p), quad.matrix):
@@ -377,8 +426,8 @@ def test_reconstruction_is_special_unitary(xi):
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
 
-def _check_full_pipeline(spec, params, values):
-    quad = _solved_quadruple(spec, params)
+def _check_full_pipeline(spec, values):
+    params, quad = _solved_quadruple(spec)
     angles = qsp.find_angles(quad)
     assert angles.L <= params.L
     grid = np.linspace(-2 * math.pi, 2 * math.pi, 200)
@@ -393,8 +442,8 @@ def _check_full_pipeline(spec, params, values):
 
 
 def test_majority_pipeline_end_to_end():
-    _check_full_pipeline(boolfun.maj_spec(3), qsp.signal_params_maj(3), (0, 0, 1, 1))
+    _check_full_pipeline(boolfun.maj_spec(3), (0, 0, 1, 1))
 
 
 def test_general_pipeline_end_to_end():
-    _check_full_pipeline(boolfun.slsb_spec(4), qsp.signal_params_general(4), (0, 0, 1, 1, 0))
+    _check_full_pipeline(boolfun.slsb_spec(4), (0, 0, 1, 1, 0))
