@@ -15,6 +15,8 @@ Synthesis: pick signal parameters so that each input weight w lands on
 phi_w = step * w - offset, interpolate A and B through the target values
 with flat derivatives, complete C and D so the quadruple is unitary, then
 factor the unitary-valued Laurent polynomial into the angle sequence.
+Where the pair cannot be completed (A^2 + B^2 exceeds one between weight
+points), synthesize raises the degree L and interpolates again.
 """
 
 from __future__ import annotations
@@ -289,10 +291,10 @@ def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
 
 
 def _minimax_polish(*args, **kwargs):
-    """Removed: synthesis no longer polishes an interpolant.
+    """Not part of synthesis; calling it raises.
 
-    The name stays because bench/tracing.py resolves it when it installs
-    its counters, and reports a count of calls (always 0 now).
+    The name stays because bench/tracing.py resolves it by name when it
+    installs its call counters.
     """
     raise NotImplementedError("the minimax polish was removed; nothing calls it")
 
