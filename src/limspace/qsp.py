@@ -46,7 +46,7 @@ class SolveError(Exception):
 
 
 class CompletionError(Exception):
-    """No valid completion: negativity or root pairing failure."""
+    """No completion: P or P over its known zeros dips below zero, or the defect exceeds 1e-8."""
 
 
 class AngleFindingError(Exception):
@@ -77,7 +77,8 @@ def signal_params_general(n: int, L: int | None = None) -> SignalParams:
     polynomial meet the value and flat derivative at all n + 1 weight
     points.  That pair need not complete (A^2 + B^2 can exceed one between
     weight points), so synthesize searches L = 4n + 1, 4n + 3, 4n + 5,
-    4n + 7; every profile with n <= 10 completes at one of them.
+    4n + 7: enough for every profile with n <= 10, and for all sampled
+    ones at n = 11..24 but one (n = 18, which needs 4n + 9).
     """
     return SignalParams(pi / (n + 1), 0.0, 4 * n + 1 if L is None else L)
 
@@ -348,16 +349,15 @@ class QspQuadruple:
 
 
 def complete_cd(
-    a: TrigPolynomial, b: TrigPolynomial
+    a: TrigPolynomial, b: TrigPolynomial, phis
 ) -> tuple[TrigPolynomial, TrigPolynomial]:
-    """Find C, D with A^2 + B^2 + C^2 + D^2 = 1.
+    """Find C, D with A^2 + B^2 + C^2 + D^2 = 1; phis are the weight points.
 
-    P = 1 - A^2 - B^2 is a symmetric Laurent polynomial in z = t^2 that is
-    nonnegative on the unit circle.  Factor P(z) = gamma G(z) G(1/z) by
-    pairing companion-matrix roots (r with 1/conj(r); unit-circle roots
-    come in even multiplicity and contribute half), set H(t) = t^s G(t^2)
-    with an odd shift s, and split H into the reciprocal part D and the
-    anti-reciprocal part C.
+    P = 1 - A^2 - B^2 is a symmetric Laurent polynomial in z = t^2, is
+    nonnegative on the unit circle and vanishes doubly at every weight
+    point.  Factor P(z) = G(z) G(1/z) without root-finding, set
+    H(t) = t^s G(t^2) with an odd shift s, and split H into the reciprocal
+    part D and the anti-reciprocal part C.
     """
     s = _square_sum(a, b)
     L = s.size // 2
@@ -382,76 +382,75 @@ def complete_cd(
         root = float(np.sqrt(r[0]))
         return TrigPolynomial("sin", [root]), TrigPolynomial("cos", [root])
 
-    c, d = _build_cd(_pair_roots(np.roots(r[::-1])), r, m)
+    c, d = _split_cd(_spectral_factor(r, phis))
     defect = QspQuadruple(a, b, c, d).unitarity_defect()
     if defect > 1e-8:
         raise CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
     return c, d
 
 
-# A root this close to the unit circle counts as on it.
-_UNIT_TOL = 1e-7
+# The cepstrum samples the unit circle at this many points.
+_CEPSTRUM_POINTS = 8192
 
 
-def _pair_roots(roots: np.ndarray) -> np.ndarray:
-    on_circle = np.abs(np.abs(roots) - 1.0) < _UNIT_TOL
-    unit = roots[on_circle]
-    rest = roots[~on_circle]
-    if unit.size % 2:
-        raise CompletionError("odd number of unit-circle roots")
-    selected = []
-    if unit.size:
-        selected.extend(_pair_unit_roots(unit))
-    inside = sorted(rest[np.abs(rest) < 1.0], key=lambda z: (z.real, z.imag))
-    outside = list(rest[np.abs(rest) >= 1.0])
-    if len(inside) != len(outside):
-        raise CompletionError("inside/outside root counts differ")
-    for rt in inside:
-        mirror = 1.0 / np.conj(rt)
-        dists = [abs(o - mirror) for o in outside]
-        k = int(np.argmin(dists))
-        if dists[k] > 1e-3 * max(1.0, abs(mirror)):
-            raise CompletionError("no inversion partner for an off-circle root")
-        outside.pop(k)
-        selected.append(rt)
-    return np.asarray(selected)
+def _spectral_factor(r: np.ndarray, phis) -> np.ndarray:
+    """G's ascending coefficients, degree m, with P(z) = G(z) G(1/z) for P's
+    z-coefficients r (powers -m..m); G's roots lie in the closed unit disk
+    and its leading coefficient is positive.
+
+    P's known zeros give G the factor K: (z^2 - 2 x z + 1) / 2 for each
+    distinct interior x = cos(phi_w), and (1 -+ z) / sqrt 2 where P(+-1)
+    is within _POSITIVITY_SLACK of zero.  |K|^2 is read from samples, since
+    multiplying out clustered zeros costs digits.  P / |K|^2 = |F|^2 by one
+    FFT cepstrum (log, causal fold, exp), F zero-free in the disk; G is
+    F K reversed.
+    """
+    m = r.size // 2
+    x = np.unique(np.cos(phis))
+    inner = x[np.abs(x) < 1.0 - _TARGET_TOL]
+    inner = inner[np.diff(inner, prepend=-1.0) > _TARGET_TOL]
+    ends = [e for e in (1.0, -1.0) if abs(r @ e ** np.arange(r.size)) <= _POSITIVITY_SLACK]
+    known = 2 * inner.size + len(ends)
+    if known > m:
+        raise CompletionError(f"P has degree {m} but {known} known zeros")
+
+    # Samples on the upper half circle; K drops its factor z^inner.size, a shift of G.
+    n = _CEPSTRUM_POINTS
+    phi = 2.0 * pi / n * np.arange(n // 2 + 1)
+    k = np.prod(np.cos(phi) - inner[:, None], axis=0).astype(complex)
+    for e in ends:
+        k *= (1.0 - e * np.exp(1j * phi)) / np.sqrt(2.0)
+    q = np.fft.rfft(np.abs(np.concatenate([k, k[-2:0:-1]])) ** 2).real / n
+    q = q[np.abs(np.arange(-known, known + 1))]
+
+    # Divide from the top; the symmetric quotient needs its powers d..0 only.
+    d = m - known
+    rest = r.copy()
+    upper = np.empty(d + 1)
+    for i in range(d + 1):
+        upper[i] = rest[i] / q[0]
+        rest[i : i + q.size] -= upper[i] * q
+    quotient = np.fft.irfft(upper[::-1], n=n) * n
+    if not quotient.min() > 0.0:
+        raise CompletionError(f"P over its known zeros dips to {quotient.min():.3e}")
+
+    # log F = c_0 / 2 + sum_{0 < k < n/2} c_k z^k: real part log(quotient) / 2,
+    # imaginary part sum_k c_k sin(k phi) (k = 0 and n/2 add 0 on the grid).
+    cepstrum = np.fft.rfft(np.log(quotient)).real / n
+    angle = np.fft.irfft(-0.5j * n * cepstrum, n=n)[: phi.size]
+    f = np.sqrt(quotient[: phi.size]) * np.exp(1j * angle)
+    g = np.fft.irfft(np.conj(f * k), n=n)
+    return np.roll(g, inner.size)[m::-1]
 
 
-def _pair_unit_roots(unit: np.ndarray) -> list[complex]:
-    angles = np.sort(np.angle(unit))
-    pairings = []
-    for start in (0, 1):
-        shifted = np.roll(angles, -start)
-        if start:
-            shifted[-start:] += 2 * pi
-        gaps = shifted[1::2] - shifted[0::2]
-        pairings.append((float(np.max(gaps)), shifted))
-    worst, shifted = min(pairings, key=lambda item: item[0])
-    if worst > 2e-2:
-        raise CompletionError("unit-circle roots do not pair up")
-    means = 0.5 * (shifted[0::2] + shifted[1::2])
-    return [complex(np.cos(t), np.sin(t)) for t in means]
+def _split_cd(g: np.ndarray) -> tuple[TrigPolynomial, TrigPolynomial]:
+    """C and D from G's ascending z-coefficients g, of degree m.
 
-
-def _build_cd(
-    selected: np.ndarray, r: np.ndarray, m: int
-) -> tuple[TrigPolynomial, TrigPolynomial]:
-    g = np.poly(selected)  # descending, monic
-    if float(np.max(np.abs(g.imag))) > 1e-6 * float(np.max(np.abs(g))):
-        raise CompletionError("selected roots are not conjugation-closed")
-    g = g.real[::-1]  # ascending powers of z
-    g0 = g[0]
-    if abs(g0) < 1e-14:
-        raise CompletionError("degenerate constant term in the factor")
-    gamma = float(r[-1]) / g0
-    if gamma <= 0:
-        raise CompletionError("negative normalization; root pairing failed")
-    g = g * np.sqrt(gamma)
-
-    # H = t^s G(t^2) with s = -m (m odd) or -(m + 1) (m even) spans the odd
-    # powers -(2 size - 1)..2 size - 1; h holds them in order, G filling the
-    # lowest m + 1.  Power j pairs with power -j: D = h_j + h_-j, C = h_j - h_-j.
-    size = m // 2 + 1
+    H = t^s G(t^2) with s = -m (m odd) or -(m + 1) (m even) spans the odd
+    powers -(2 size - 1)..2 size - 1; h holds them in order, G filling the
+    lowest m + 1.  Power j pairs with power -j: D = h_j + h_-j, C = h_j - h_-j.
+    """
+    size = (g.size - 1) // 2 + 1
     h = np.concatenate([g, np.zeros(2 * size - g.size)])
     hm, hp = h[size - 1 :: -1], h[size:]
     return TrigPolynomial("sin", hp - hm), TrigPolynomial("cos", hp + hm)
@@ -576,7 +575,7 @@ def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
     for params in schedules:
         try:
             a, b = solve_ab(f, params)
-            c, d = complete_cd(a, b)
+            c, d = complete_cd(a, b, params.phi(np.arange(n + 1)))
         except (SolveError, CompletionError) as exc:
             last = exc
             continue

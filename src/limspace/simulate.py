@@ -136,9 +136,10 @@ def noisy_asp_mc(
     Each shot draws a uniform input and fails with probability
     1 - (1 - eps)^L, the chance that at least one of the L entangling
     gates fails, decided by one uniform per shot.  A clean run samples
-    the exact p_one(x); a failed one outputs a fair bit.  Memory is
-    O(shots).  Seeded estimates differ from those of the earlier
-    one-coin-per-gate draw, which had the same distribution.
+    the exact p_one(x); a failed one outputs a fair bit.  Shots are drawn
+    from one generator in chunks of _SHOT_CHUNK, so memory is bounded
+    whatever the count.  Seeded estimates differ from those of the
+    earlier one-coin-per-gate draw, which had the same distribution.
     """
     NoiseModel(epsilon)
     if c.n != f.n:
@@ -147,12 +148,21 @@ def noisy_asp_mc(
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
     p_one = np.abs(c.words()[:, 1, 0]) ** 2
-    xs = rng.integers(0, 1 << c.n, size=shots)
-    clean = rng.random(shots) < (1.0 - epsilon) ** entangling_count(c)
-    clean_bit = rng.random(shots) < p_one[xs]
-    coin_bit = rng.integers(0, 2, size=shots).astype(bool)
-    outcome = np.where(clean, clean_bit, coin_bit)
-    return float(np.mean(outcome == (f.truth[xs] == 1)))
+    p_clean = (1.0 - epsilon) ** entangling_count(c)
+    hits = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, shots - start)
+        xs = rng.integers(0, 1 << c.n, size=size)
+        clean = rng.random(size) < p_clean
+        clean_bit = rng.random(size) < p_one[xs]
+        coin_bit = rng.integers(0, 2, size=size).astype(bool)
+        outcome = np.where(clean, clean_bit, coin_bit)
+        hits += int(np.count_nonzero(outcome == (f.truth[xs] == 1)))
+    return hits / shots
+
+
+# noisy_asp_mc draws at most this many shots at once (about 26 B each).
+_SHOT_CHUNK = 1 << 20
 
 
 _CROSSOVER_CAP = 200

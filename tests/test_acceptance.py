@@ -201,7 +201,7 @@ def _pipeline_case(spec, f):
     issues = []
     params, _ = qsp.synthesize(spec)
     a, b = qsp.solve_ab(spec, params)
-    c_poly, d_poly = qsp.complete_cd(a, b)
+    c_poly, d_poly = qsp.complete_cd(a, b, params.phi(np.arange(spec.n + 1)))
     quad = qsp.QspQuadruple(a, b, c_poly, d_poly)
     if quad.unitarity_defect() > 1e-8:
         issues.append(f"unitarity defect {quad.unitarity_defect():.2e}")

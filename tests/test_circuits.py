@@ -286,7 +286,7 @@ def test_merge_preserves_every_word(n, raw):
 
 def _compiled(spec, params):
     a, b = qsp.solve_ab(spec, params)
-    quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
+    quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, params.phi(np.arange(spec.n + 1))))
     xi = qsp.find_angles(quad)
     return circuits.compile_qsp(spec, xi, params), xi
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -17,8 +18,12 @@ def _solved_quadruple(spec):
     """The quadruple on the schedule and degree synthesize settles on."""
     params, _ = qsp.synthesize(spec)
     a, b = qsp.solve_ab(spec, params)
-    c, d = qsp.complete_cd(a, b)
+    c, d = qsp.complete_cd(a, b, _weight_points(params, spec.n))
     return params, qsp.QspQuadruple(a, b, c, d)
+
+
+def _weight_points(params, n):
+    return params.phi(np.arange(n + 1))
 
 
 def test_signal_params_layout():
@@ -53,7 +58,8 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
     assert angles.L == params.L
     # slsb4's pair at 4n + 1 overshoots one; the search moves up to 4n + 3.
     with pytest.raises(qsp.CompletionError, match="P dips"):
-        qsp.complete_cd(*qsp.solve_ab(boolfun.slsb_spec(4), qsp.signal_params_general(4)))
+        params = qsp.signal_params_general(4)
+        qsp.complete_cd(*qsp.solve_ab(boolfun.slsb_spec(4), params), _weight_points(params, 4))
     params, _ = qsp.synthesize(boolfun.slsb_spec(4))
     assert params == qsp.signal_params_general(4, 19)
     # Anti-symmetric profiles whose majority-schedule system is infeasible
@@ -68,7 +74,7 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
     # At the cap the last stage error is raised: degrees 17, 19, 21, 23 tried.
     tried = []
 
-    def refuse(a, b):
+    def refuse(a, b, phis):
         tried.append(max(a.degree, b.degree))
         raise qsp.CompletionError(f"refused at {tried[-1]}")
 
@@ -139,11 +145,12 @@ def test_solver_complements_targets_with_true_empty_word():
 
 def test_completed_envelope_is_nonnegative_and_unitary():
     for spec in (boolfun.maj_spec(3), boolfun.slsb_spec(4)):
-        a, b = qsp.solve_ab(spec, qsp.synthesize(spec)[0])
+        params = qsp.synthesize(spec)[0]
+        a, b = qsp.solve_ab(spec, params)
         grid = np.linspace(-2 * math.pi, 2 * math.pi, 10000)
         p = 1.0 - a(grid) ** 2 - b(grid) ** 2
         assert float(np.min(p)) >= -1e-9
-        quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
+        quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, _weight_points(params, spec.n)))
         assert quad.unitarity_defect() <= 1e-8
         fine = np.linspace(-2 * math.pi, 2 * math.pi, 20000, endpoint=False)
         total = sum(p(fine) ** 2 for p in (quad.a, quad.b, quad.c, quad.d))
@@ -174,15 +181,65 @@ def _profiles(n: int):
     return [boolfun.SymmetricSpec(n, (0, *tail)) for tail in itertools.product((0, 1), repeat=n)]
 
 
+# How many profiles with f(0) = 0 settle at each degree L, per arity.
+_DEGREES = {
+    1: {3: 1, 5: 1},
+    2: {9: 2, 11: 2},
+    3: {7: 1, 13: 2, 15: 5},
+    4: {17: 2, 19: 14},
+    5: {11: 1, 21: 3, 23: 28},
+    6: {25: 3, 27: 61},
+    7: {15: 1, 29: 3, 31: 121, 33: 3},
+    8: {33: 4, 35: 238, 37: 12, 39: 2},
+}
+
+
 def test_synthesis_is_total_up_to_arity_8():
     """Every profile with f(0) = 0 and n <= 8 synthesizes within the search,
     and its compiled and merged circuit computes it."""
     for n in range(1, 9):
+        degrees = collections.Counter()
         for spec in _profiles(n):
             params, angles = qsp.synthesize(spec)
             assert angles.L == params.L <= 4 * n + 7, spec
+            degrees[params.L] += 1
             merged = circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params))
             assert simulate.asp(merged, boolfun.make_symmetric(spec)).asp >= 1.0 - 1e-9, spec
+        assert degrees == _DEGREES[n], n
+
+
+def test_completion_divides_out_zeros_at_zero_and_pi():
+    """P = 1 - A^2 - B^2 vanishes at phi = pi off the weight points for
+    these profiles (A(pi) = 0 at odd L), and maj5's weight points include
+    phi = 0 and pi, with w = 0 and 2 on one cos; each completes at the
+    first degree it tries."""
+    for values, L in (((0, 1, 0), 9), ((0, 0, 1, 0, 0, 0), 21), ((0, 0, 0, 1, 0, 0, 0, 0, 0), 33)):
+        spec = boolfun.SymmetricSpec(len(values) - 1, values)
+        params = qsp.signal_params_general(spec.n, L)
+        a, b = qsp.solve_ab(spec, params)
+        assert abs(1.0 - a(math.pi) ** 2 - b(math.pi) ** 2) <= 1e-12
+        assert math.pi not in _weight_points(params, spec.n)
+        assert qsp.synthesize(spec)[0] == params
+    x = np.cos(_weight_points(qsp.signal_params_maj(5), 5))
+    assert np.allclose(x[[1, 4]], [1.0, -1.0]) and np.isclose(x[0], x[2])
+    assert qsp.synthesize(boolfun.maj_spec(5))[0] == qsp.signal_params_maj(5)
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_synthesis_reaches_arity_17_and_18(n):
+    """slsb and two seeded random profiles: a unitary completion and angles
+    whose <1|U(phi_w)|0> carries f(w) at every weight point."""
+    specs = [boolfun.slsb_spec(n)]
+    for seed in (1, 2):
+        tail = np.random.default_rng(seed).integers(0, 2, size=n)
+        specs.append(boolfun.SymmetricSpec(n, (0, *map(int, tail))))
+    for spec in specs:
+        params, angles = qsp.synthesize(spec)
+        phis = _weight_points(params, n)
+        a, b = qsp.solve_ab(spec, params)
+        assert qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, phis)).unitarity_defect() <= 1e-8
+        u = qsp.reconstruct(angles, phis)
+        np.testing.assert_allclose(np.abs(u[:, 1, 0]) ** 2, spec.by_weight, rtol=0, atol=1e-9)
 
 
 _ANGLE_DIGEST = """
@@ -217,10 +274,11 @@ def test_synthesis_does_not_depend_on_the_blas_thread_count():
 
 @functools.cache
 def _arity_pairs(n: int) -> tuple:
-    """(A, B) from solve_ab for every symmetric profile of arity n with
-    f(0) = 0, on the schedule and degree synthesize settles on; shared by
-    the tests."""
-    return tuple(qsp.solve_ab(spec, qsp.synthesize(spec)[0]) for spec in _profiles(n))
+    """(A, B, weight points) from solve_ab for every symmetric profile of
+    arity n with f(0) = 0, on the schedule and degree synthesize settles
+    on; shared by the tests."""
+    schedules = [(spec, qsp.synthesize(spec)[0]) for spec in _profiles(n)]
+    return tuple((*qsp.solve_ab(s, p), _weight_points(p, n)) for s, p in schedules)
 
 
 def _assert_refined_grid_is_the_full_grid(s, points):
@@ -246,7 +304,7 @@ def test_squared_magnitude_kernel_matches_direct_evaluation():
                 rtol=0, atol=1e-12,
             )
         _assert_refined_grid_is_the_full_grid(s, qsp._GATE_POINTS)
-    for a, b in itertools.chain.from_iterable(map(_arity_pairs, range(1, 7))):
+    for a, b, _ in itertools.chain.from_iterable(map(_arity_pairs, range(1, 7))):
         _assert_refined_grid_is_the_full_grid(qsp._square_sum(a, b), qsp._GATE_POINTS)
 
 
@@ -277,13 +335,13 @@ def test_completion_rejects_oversized_components():
     a = qsp.TrigPolynomial("cos", [1.2])
     b = qsp.TrigPolynomial("sin", [0.0])
     with pytest.raises(qsp.CompletionError, match="P dips to -4.400e-01"):
-        qsp.complete_cd(a, b)
+        qsp.complete_cd(a, b, ())
 
 
 def test_completion_of_a_constant_p():
     a = qsp.TrigPolynomial("cos", [0.6])
     b = qsp.TrigPolynomial("sin", [0.6])
-    c, d = qsp.complete_cd(a, b)
+    c, d = qsp.complete_cd(a, b, ())
     assert (c.kind, d.kind) == ("sin", "cos")
     assert c.coeffs.tolist() == d.coeffs.tolist() == [0.8]
     quad = qsp.QspQuadruple(a, b, c, d)
@@ -292,7 +350,7 @@ def test_completion_of_a_constant_p():
 
 
 def test_completion_of_a_vanishing_p():
-    c, d = qsp.complete_cd(qsp.TrigPolynomial("cos", [1.0]), qsp.TrigPolynomial("sin", [1.0]))
+    c, d = qsp.complete_cd(qsp.TrigPolynomial("cos", [1.0]), qsp.TrigPolynomial("sin", [1.0]), ())
     assert (c.kind, d.kind) == ("sin", "cos")
     assert c.coeffs.tolist() == d.coeffs.tolist() == [0.0]
 
@@ -333,7 +391,7 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
     """On the (A, B) pair of every symmetric profile with n <= 5."""
     parities = []
     for n in range(1, 6):
-        for a, b in _arity_pairs(n):
+        for a, b, phis in _arity_pairs(n):
             L = max(a.degree, b.degree)
             for poly in (a, b):
                 for size in (poly.degree, L):
@@ -344,10 +402,12 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
             while m > 0 and abs(r_full[L + m]) < 1e-12 * np.max(np.abs(r_full)):
                 m -= 1
             r = r_full[L - m : L + m + 1]
-            selected = qsp._pair_roots(np.roots(r[::-1]))
-            c, d = qsp._build_cd(selected, r, m)
-            g = np.poly(selected).real[::-1]
-            g = g * np.sqrt(float(r[-1]) / g[0])
+            g = qsp._spectral_factor(r, phis)
+            assert g.size == m + 1 and g[-1] > 0.0
+            assert np.max(np.abs(np.roots(g[::-1]))) <= 1.0 + 1e-6
+            # G G(1/z) is P: the factor and its reversal multiply back to r.
+            np.testing.assert_allclose(np.convolve(g, g[::-1]), r, rtol=0, atol=1e-12)
+            c, d = qsp._split_cd(g)
             want_c, want_d = _cd_from_dict(g, m)
             assert c.coeffs.tobytes() == want_c.tobytes()
             assert d.coeffs.tobytes() == want_d.tobytes()
@@ -367,8 +427,8 @@ def test_unitarity_defect_matches_the_grid_evaluation():
     """On every symmetric profile with n <= 5, at the degree synthesize settles on."""
     checked = 0
     for n in range(1, 6):
-        for a, b in _arity_pairs(n):
-            quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b))
+        for a, b, phis in _arity_pairs(n):
+            quad = qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, phis))
             assert abs(quad.unitarity_defect() - _defect_on_the_grid(quad)) <= 1e-13
             checked += 1
     assert checked == 62

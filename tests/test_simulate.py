@@ -61,7 +61,7 @@ def test_probabilities_stay_in_unit_interval():
     spec = boolfun.maj_spec(3)
     params = qsp.signal_params_maj(3)
     a, b = qsp.solve_ab(spec, params)
-    xi = qsp.find_angles(qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b)))
+    xi = qsp.find_angles(qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, params.phi(np.arange(4)))))
     c = circuits.compile_qsp(spec, xi, params)
     result = simulate.asp(c, boolfun.maj(3))
     assert np.all(result.p_one >= 0.0)
@@ -189,6 +189,41 @@ def test_mc_memory_does_not_grow_with_the_gate_count():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _mc_one_draw(c, f, epsilon, shots, seed):
+    """noisy_asp_mc drawing all shots as one array: the reference for a
+    count that fits in one chunk."""
+    rng = np.random.default_rng(seed)
+    p_one = np.abs(c.words()[:, 1, 0]) ** 2
+    xs = rng.integers(0, 1 << c.n, size=shots)
+    clean = rng.random(shots) < (1.0 - epsilon) ** circuits.entangling_count(c)
+    clean_bit = rng.random(shots) < p_one[xs]
+    coin_bit = rng.integers(0, 2, size=shots).astype(bool)
+    return float(np.mean(np.where(clean, clean_bit, coin_bit) == (f.truth[xs] == 1)))
+
+
+def test_mc_chunks_keep_the_one_draw_stream():
+    c = circuits.slsb_relative(3)
+    f = boolfun.slsb(3)
+    for shots in (1, 5000, 20000, simulate._SHOT_CHUNK):
+        got = simulate.noisy_asp_mc(c, f, 0.1, shots, seed=20240614)
+        assert got == _mc_one_draw(c, f, 0.1, shots, 20240614)
+
+
+def test_mc_memory_is_bounded_in_the_shot_count():
+    """2^22 shots peak at under a third of the 109 MB that drawing them
+    as one array takes."""
+    c = circuits.slsb_relative(3)
+    f = boolfun.slsb(3)
+    c.words()
+    tracemalloc.start()
+    try:
+        simulate.noisy_asp_mc(c, f, 0.1, 1 << 22, seed=20240614)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 109e6 / 3
 
 
 def test_mc_validation():
