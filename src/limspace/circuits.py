@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -174,18 +173,35 @@ class GateSpec:
 
 
 def _format_angle(theta: float) -> str:
-    """Render an angle as a multiple of pi when it is a simple one."""
+    """Render an angle as a multiple of pi when it is a simple one.
+
+    The multiple is the fraction num/den with den <= 16 closest to
+    theta/pi, kept when its float lies within 1e-12 of theta/pi.  One scan
+    over den = 1..16 finds it, taking for each den the nearest numerator
+    to the fractional part of theta/pi.  The scan runs on that part rather
+    than on theta/pi itself because above 2^45 the float spacing of
+    theta/pi exceeds 1/240, the least gap between two such fractions, so
+    there several of them pass the 1e-12 test and only the closest is the
+    multiple.
+    """
     ratio = theta / math.pi
-    frac = Fraction(ratio).limit_denominator(16)
-    if abs(float(frac) - ratio) < 1e-12:
-        if frac == 0:
-            return "0"
-        num, den = frac.numerator, frac.denominator
-        sign = "-" if num < 0 else ""
-        num = abs(num)
-        head = "pi" if num == 1 else f"{num}*pi"
-        return f"{sign}{head}" if den == 1 else f"{sign}{head}/{den}"
-    return repr(theta)
+    whole = math.floor(ratio)
+    part = ratio - whole
+    gap = 2.0
+    for d in range(1, 17):
+        n = round(part * d)
+        off = abs(n / d - part)
+        if off < gap:
+            gap, num, den = off, n, d
+    num += whole * den
+    if abs(num / den - ratio) >= 1e-12:
+        return repr(theta)
+    if num == 0:
+        return "0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    head = "pi" if num == 1 else f"{num}*pi"
+    return f"{sign}{head}" if den == 1 else f"{sign}{head}/{den}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,18 +260,51 @@ class LimitedSpaceCircuit:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text of json.dumps(self.to_json_dict(), indent=2).
+
+        Each distinct gate object is encoded once, indented to its depth in
+        the list, and its text is repeated at every position it holds.
+        """
+        texts: dict[int, str] = {}
+        for g in self.gates:
+            if id(g) not in texts:
+                texts[id(g)] = json.dumps(g.to_json_dict(), indent=2).replace("\n", "\n    ")
+        items = ",\n    ".join(texts[id(g)] for g in self.gates)
+        head = json.dumps(
+            {"n": self.n, "phase_convention": self.phase_convention, "gates": []}, indent=2
+        )
+        # head ends in '[]\n}'; the gate list goes between the brackets.
+        return head[:-3] + (f"\n    {items}\n  " if items else "") + "]\n}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LimitedSpaceCircuit":
+        """Parse a circuit; each distinct gate record becomes one shared GateSpec.
+
+        A record's key is the repr of its name, control and angle plus its
+        label, so true, 1 and 1.0 (or -0.0 and 0.0) stay distinct and every
+        distinct record is validated.  Records with a matrix or a non-string
+        label are parsed one by one.
+        """
         if not isinstance(data, dict):
             raise ValueError("circuit must be a JSON object")
-        gates = data["gates"]
-        if not isinstance(gates, list) or not all(isinstance(g, dict) for g in gates):
+        records = data["gates"]
+        if not isinstance(records, list) or not all(isinstance(g, dict) for g in records):
             raise ValueError("gates must be a list of objects")
+        shared: dict[tuple, GateSpec] = {}
+        gates = []
+        for record in records:
+            label = record.get("label", "")
+            if record.get("matrix") is not None or not isinstance(label, str):
+                gates.append(GateSpec.from_json_dict(record))
+                continue
+            key = (repr(record["name"]), repr(record.get("control")),
+                   repr(record.get("angle")), label)
+            if key not in shared:
+                shared[key] = GateSpec.from_json_dict(record)
+            gates.append(shared[key])
         return cls(
             n=data["n"],
-            gates=tuple(GateSpec.from_json_dict(g) for g in gates),
+            gates=tuple(gates),
             phase_convention=data.get("phase_convention", ""),
         )
 
@@ -408,19 +457,17 @@ def compile_qsp(
     """
     if xi.L != params.L:
         raise ValueError(f"angle sequence has L={xi.L} but params expect L={params.L}")
-    # The n*L signal gates share one angle, so their label is formatted once.
-    signal = GateSpec.rotation("x", params.step)
+    # Every layer holds the same signal block, so its gates are built once
+    # and each object sits at L positions.
+    block = [GateSpec.rotation("x", params.step, control=k) for k in range(1, f.n + 1)]
+    if params.offset != 0.0:
+        block.append(GateSpec.rotation("x", -params.offset))
     gates = []
     for j in range(params.L, 0, -1):
         angle = float(xi.xi[j])
         if angle != 0.0:
             gates.append(GateSpec.rotation("z", -angle))
-        gates.extend(
-            GateSpec("rx", control=k, angle=signal.angle, label=signal.label)
-            for k in range(1, f.n + 1)
-        )
-        if params.offset != 0.0:
-            gates.append(GateSpec.rotation("x", -params.offset))
+        gates.extend(block)
         if angle != 0.0:
             gates.append(GateSpec.rotation("z", angle))
     if float(xi.xi[0]) != 0.0:

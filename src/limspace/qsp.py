@@ -76,9 +76,9 @@ def signal_params_general(n: int, L: int | None = None) -> SignalParams:
     L defaults to 4n + 1, the least degree whose 2n + 1 coefficients per
     polynomial meet the value and flat derivative at all n + 1 weight
     points.  That pair need not complete (A^2 + B^2 can exceed one between
-    weight points), so synthesize searches L = 4n + 1, 4n + 3, 4n + 5,
-    4n + 7: enough for every profile with n <= 10, and for all sampled
-    ones at n = 11..24 but one (n = 18, which needs 4n + 9).
+    weight points), so synthesize searches L = 4n + 1, 4n + 3, ..., 4n + 9.
+    Every profile with n <= 10 settles by 4n + 7; 4n + 9 is there for
+    larger arities, such as the sampled n = 18 profile that needs it.
     """
     return SignalParams(pi / (n + 1), 0.0, 4 * n + 1 if L is None else L)
 
@@ -556,7 +556,7 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
 
 
 # synthesize tries the general schedule at this many odd degrees from 4n + 1.
-_GENERAL_DEGREES = 4
+_GENERAL_DEGREES = 5
 
 
 def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
@@ -564,9 +564,9 @@ def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
 
     The majority schedule is taken where it applies and its pair solves
     and completes; otherwise the general schedule at the first degree
-    L = 4n + 1, 4n + 3, 4n + 5, 4n + 7 whose pair does.  The returned params
+    L = 4n + 1, 4n + 3, ..., 4n + 9 whose pair does.  The returned params
     are the ones used.  Raises the last SolveError or CompletionError when
-    no degree up to 4n + 7 does, and an AngleFindingError at once.
+    no degree up to 4n + 9 does, and an AngleFindingError at once.
     """
     n = f.n
     first = signal_params(f)

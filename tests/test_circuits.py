@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +62,47 @@ def test_gate_default_labels():
     assert circuits.GateSpec.named("h", control=2).label == "h"
 
 
+def _fraction_label(theta):
+    """The label rule stated with Fraction: the closest num/den, den <= 16,
+    to theta/pi, kept when its float lies within 1e-12 of theta/pi."""
+    ratio = theta / math.pi
+    frac = Fraction(ratio).limit_denominator(16)
+    if abs(float(frac) - ratio) >= 1e-12:
+        return repr(theta)
+    if frac == 0:
+        return "0"
+    num, den = abs(frac.numerator), frac.denominator
+    text = ("-" if frac < 0 else "") + ("pi" if num == 1 else f"{num}*pi")
+    return text if den == 1 else f"{text}/{den}"
+
+
+def _label_angles():
+    for d in range(1, 41):
+        for k in range(-2 * d, 2 * d + 1):
+            theta = k * math.pi / d
+            yield theta
+            yield math.nextafter(theta, math.inf)
+            yield math.nextafter(theta, -math.inf)
+            for delta in (0.999e-12, 1.001e-12):
+                yield (k / d + delta) * math.pi
+                yield (k / d - delta) * math.pi
+    yield from (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, -0.0, 0.0)
+    rng = random.Random(20240614)
+    for _ in range(2000):
+        yield rng.uniform(-4 * math.pi, 4 * math.pi)
+        yield math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1023))
+    # Above 2^45 the spacing of theta/pi exceeds the 1/240 between two
+    # candidate fractions, so several pass the 1e-12 test there.
+    for _ in range(2000):
+        ratio = rng.randrange(2**44, 2**52) + rng.randrange(128) / 128
+        yield rng.choice((1, -1)) * ratio * math.pi
+
+
+def test_format_angle_matches_the_fraction_rule():
+    for theta in _label_angles():
+        assert circuits._format_angle(theta) == _fraction_label(theta), theta
+
+
 def test_gate_actions():
     x = circuits.GateSpec.named("x").action
     assert np.array_equal(x, np.array([[0, 1], [1, 0]], dtype=complex))
@@ -89,8 +132,10 @@ def test_circuit_word_and_words_agree():
             assert np.allclose(allwords[idx], _word(c, bits), atol=1e-12)
 
 
-def test_json_round_trip_is_bit_exact():
-    c = circuits.LimitedSpaceCircuit(
+def _round_trip_inputs():
+    """The hand fixture, merged QSP circuits on both schedules, every hand
+    construction, a gate-free circuit and a non-ASCII phase convention."""
+    fixture = circuits.LimitedSpaceCircuit(
         n=3,
         gates=(
             circuits.GateSpec.named("h", control=2),
@@ -100,17 +145,55 @@ def test_json_round_trip_is_bit_exact():
         ),
         phase_convention="test fixture",
     )
-    again = circuits.LimitedSpaceCircuit.from_json(c.to_json())
-    assert again.n == c.n
-    assert again.phase_convention == c.phase_convention
-    for g, h in zip(again.gates, c.gates):
-        assert g.name == h.name
-        assert g.control == h.control
-        assert g.angle == h.angle
-        assert g.label == h.label
-        if h.matrix is not None:
-            assert np.array_equal(g.matrix, h.matrix)
-    assert again.to_json() == c.to_json()
+    merged = []
+    for spec in (boolfun.slsb_spec(4), boolfun.maj_spec(5)):
+        params, angles = qsp.synthesize(spec)
+        merged.append(circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params)))
+    # The majority schedule's fused signal blocks merge into matrix gates.
+    assert any(g.name == "matrix" for g in merged[1].gates)
+    hand = [circuits.slsb_relative(4), circuits.slsb_true(4), circuits.builtin_slsb3_fig1(),
+            circuits.ip_circuit(4)]
+    empty = circuits.LimitedSpaceCircuit(n=2, gates=())
+    accented = circuits.LimitedSpaceCircuit(
+        n=1, gates=(circuits.GateSpec.rotation("y", 0.5, control=1),),
+        phase_convention="fase relativa; V(x) = U(φ·|x|) − Δ",
+    )
+    return [fixture, *merged, *hand, empty, accented]
+
+
+def test_json_round_trip_is_bit_exact():
+    for c in _round_trip_inputs():
+        text = c.to_json()
+        assert text == json.dumps(c.to_json_dict(), indent=2)
+        again = circuits.LimitedSpaceCircuit.from_json(text)
+        assert again.n == c.n
+        assert again.phase_convention == c.phase_convention
+        assert len(again) == len(c)
+        for g, h in zip(again.gates, c.gates):
+            assert g.name == h.name
+            assert g.control == h.control
+            assert g.angle == h.angle
+            assert g.label == h.label
+            if h.matrix is not None:
+                assert np.array_equal(g.matrix, h.matrix)
+        assert again.to_json() == text
+        assert np.array_equal(again.words(), c.words())
+
+
+def test_signed_zero_and_integer_angles_round_trip_byte_identically(tmp_path):
+    """Records that differ only in the type or sign of a value are distinct
+    gates: -0.0 and 0.0, 1 and 1.0 are each read and saved back as they were."""
+    records = [{"control": 1, "name": "rx", "angle": angle, "matrix": None, "label": "r"}
+               for angle in (-0.0, 0.0, -0.0, 1, 1.0, 1)]
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps({"n": 1, "phase_convention": "", "gates": records}, indent=2) + "\n")
+    c = circuits.LimitedSpaceCircuit.load(path)
+    assert [math.copysign(1.0, g.angle) for g in c.gates[:3]] == [-1.0, 1.0, -1.0]
+    assert [type(g.angle) for g in c.gates[3:]] == [int, float, int]
+    assert len({id(g) for g in c.gates}) == 4
+    out = tmp_path / "again.json"
+    c.save(out)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -320,6 +403,16 @@ def test_compile_qsp_general_path():
     for idx in range(16):
         target = qsp.reconstruct(xi, float(params.phi(int(weights[idx]))))
         assert np.max(np.abs(words[idx] - target)) <= 1e-8
+
+
+def test_compile_qsp_shares_the_signal_block():
+    """The n*L controlled gates of a compiled circuit are n gate objects."""
+    for spec in (boolfun.slsb_spec(4), boolfun.maj_spec(5), boolfun.SymmetricSpec(3, (1, 1, 0, 0))):
+        params, angles = qsp.synthesize(spec)
+        c = circuits.compile_qsp(spec, angles, params)
+        controlled = [g for g in c.gates if g.control is not None]
+        assert len(controlled) == spec.n * params.L
+        assert len({id(g) for g in controlled}) == spec.n
 
 
 def test_compile_qsp_complements_functions_true_on_the_empty_word():

@@ -430,6 +430,9 @@ def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
         {"n": 3, "gates": [{"name": "rx", "angle": "abc"}]},
         {"n": 3.0, "gates": [{"name": "x", "control": 1}]},
         {"n": 3, "gates": "xx"},
+        # A valid record repeated with a bool or float control is still refused.
+        {"n": 3, "gates": [{"name": "x", "control": 1}, {"name": "x", "control": True}]},
+        {"n": 3, "gates": [{"name": "x", "control": 1}, {"name": "x", "control": 1.0}]},
     ]
     path = tmp_path / "broken.json"
     for text in ["{ not json"] + [json.dumps(c) for c in malformed]:

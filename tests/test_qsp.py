@@ -71,7 +71,7 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
     assert angles.L == params.L == 31
     params, angles = qsp.synthesize(boolfun.SymmetricSpec(4, (0, 1, 1, 0, 0)))
     assert angles.L == params.L == 19
-    # At the cap the last stage error is raised: degrees 17, 19, 21, 23 tried.
+    # At the cap the last stage error is raised: degrees 17, 19, ..., 25 tried.
     tried = []
 
     def refuse(a, b, phis):
@@ -79,9 +79,9 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
         raise qsp.CompletionError(f"refused at {tried[-1]}")
 
     monkeypatch.setattr(qsp, "complete_cd", refuse)
-    with pytest.raises(qsp.CompletionError, match="refused at 23"):
+    with pytest.raises(qsp.CompletionError, match="refused at 25"):
         qsp.synthesize(boolfun.slsb_spec(4))
-    assert tried == [17, 19, 21, 23]
+    assert tried == [17, 19, 21, 23, 25]
 
 
 def test_trig_polynomial_evaluation_and_laurent():
@@ -225,16 +225,24 @@ def test_completion_divides_out_zeros_at_zero_and_pi():
     assert qsp.synthesize(boolfun.maj_spec(5))[0] == qsp.signal_params_maj(5)
 
 
+# Its pair overshoots at every degree up to 4n + 7 and completes at 4n + 9.
+_LATE_PROFILES = {18: [(0, 0, 0, 0, 0, 1, 0, 1, 1, 1) + (0,) * 9]}
+
+
 @pytest.mark.parametrize("n", [17, 18])
 def test_synthesis_reaches_arity_17_and_18(n):
-    """slsb and two seeded random profiles: a unitary completion and angles
-    whose <1|U(phi_w)|0> carries f(w) at every weight point."""
+    """slsb, two seeded random profiles and, at n = 18, one that settles at
+    4n + 9: a unitary completion and angles whose <1|U(phi_w)|0> carries
+    f(w) at every weight point."""
     specs = [boolfun.slsb_spec(n)]
     for seed in (1, 2):
         tail = np.random.default_rng(seed).integers(0, 2, size=n)
         specs.append(boolfun.SymmetricSpec(n, (0, *map(int, tail))))
-    for spec in specs:
+    late = [boolfun.SymmetricSpec(n, values) for values in _LATE_PROFILES.get(n, [])]
+    for spec in specs + late:
         params, angles = qsp.synthesize(spec)
+        if spec in late:
+            assert params.L == 4 * n + 9
         phis = _weight_points(params, n)
         a, b = qsp.solve_ab(spec, params)
         assert qsp.QspQuadruple(a, b, *qsp.complete_cd(a, b, phis)).unitarity_defect() <= 1e-8
