@@ -23,6 +23,14 @@ def main() -> None:
     parser.add_argument("--shots", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=20240614)
     args = parser.parse_args()
+    if args.mc_n:
+        n = args.mc_n
+        circuit, function = {"ip": (circuits.ip_circuit, boolfun.ip),
+                             "slsb": (circuits.slsb_relative, boolfun.slsb)}[args.family]
+        try:
+            c, f = circuit(n), function(n)
+        except ValueError as err:
+            parser.error(f"--mc-n {n} for --family {args.family}: {err}")
 
     for eps in args.eps:
         n = simulate.advantage_crossover(eps, family=args.family)
@@ -31,10 +39,6 @@ def main() -> None:
 
     if args.mc_n:
         n = args.mc_n
-        if args.family == "ip":
-            c, f = circuits.ip_circuit(n), boolfun.ip(n)
-        else:
-            c, f = circuits.slsb_relative(n), boolfun.slsb(n)
         ent = circuits.entangling_count(c)
         print(f"\nMonte Carlo check, {args.family} n={n}, L={ent}, shots={args.shots}")
         for eps in args.eps:

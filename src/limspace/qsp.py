@@ -15,8 +15,11 @@ Synthesis: pick signal parameters so that each input weight w lands on
 phi_w = step * w - offset, interpolate A and B through the target values
 with flat derivatives, complete C and D so the quadruple is unitary, then
 factor the unitary-valued Laurent polynomial into the angle sequence.
-Where the pair cannot be completed (A^2 + B^2 exceeds one between weight
-points), synthesize raises the degree L and interpolates again.
+Completion decides once whether the pair completes: P = 1 - A^2 - B^2
+divided by its known zeros must be positive on the circle, and the
+completed quadruple must be unitary to 1e-8.  Where it does not (A^2 + B^2
+exceeds one between weight points), synthesize raises the degree L and
+interpolates again.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class SolveError(Exception):
 
 
 class CompletionError(Exception):
-    """No completion: P or P over its known zeros dips below zero, or the defect exceeds 1e-8."""
+    """No completion: P over its known zeros dips below zero, or the defect exceeds 1e-8."""
 
 
 class AngleFindingError(Exception):
@@ -234,61 +237,19 @@ def _squared_magnitude(s: np.ndarray, points: int) -> np.ndarray:
 
     The sum is even and 2pi-periodic, so [0, pi] sees its full range.  In
     z it is s_0 + 2 sum_k s_k cos(k phi) over k = 1..L, the inverse real
-    FFT of s_0..s_L at length 2 (points - 1), scaled by that length.  The
-    fine positivity grid takes it on every _CELL-th point only, refining
-    the cells that can reach the coarse maximum
-    (_refined_squared_magnitude), so its maximum is the full grid's.
+    FFT of s_0..s_L at length 2 (points - 1), scaled by that length.
     """
     size = 2 * (points - 1)
     return np.fft.irfft(s[s.size // 2 :], n=size)[:points] * size
 
 
-# A coarse cell spans this many steps of the fine positivity grid; the
-# coarse grid needs more than L + 1 points (arity 24 gives L = 103).
-_CELL = 10
-_GATE_POINTS = 100001
-
-
-def _refined_squared_magnitude(
-    s: np.ndarray, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of squares s on the points of linspace(0, pi, points) that
-    can reach the coarse maximum, as (grid indices, values); points - 1
-    must be a multiple of _CELL.
-
-    Every _CELL-th grid point comes from the FFT kernel on the coarse grid,
-    whose points they are.  On a cell of width h the sum is at most its
-    larger end plus h^2 / 8 max|v''|, and |v''| <= 2 sum_k k^2 |s_k|; every
-    cell whose bound (plus 1e-12 for rounding) reaches the coarse maximum
-    has its inner points evaluated directly, as s_0 + 2 sum_k s_k cos(k phi).
-    So the grid's maximum is among the points returned (to rounding).
-    """
-    coarse = _squared_magnitude(s, (points - 1) // _CELL + 1)
-    level = float(coarse.max())
-    L = s.size // 2
-    k = np.arange(1, L + 1)
-    step = pi / (points - 1)
-    curvature = 2.0 * float(np.sum(k * k * np.abs(s[L + 1 :])))
-    slack = (_CELL * step) ** 2 / 8.0 * curvature + 1e-12
-    cells = np.flatnonzero(np.maximum(coarse[:-1], coarse[1:]) + slack >= level)
-    inner = (_CELL * cells[:, None] + np.arange(1, _CELL)).ravel()
-    phi = inner * step  # bitwise np.linspace(0, pi, points)[inner]
-    values = np.full(phi.size, s[L])
-    for j in k:
-        values += 2.0 * s[L + j] * np.cos(j * phi)
-    indices = np.concatenate([np.arange(0, points, _CELL), inner])
-    return indices, np.concatenate([coarse, values])
-
-
 def squared_magnitude_overshoot(a: TrigPolynomial, b: TrigPolynomial) -> float:
-    """max over phi of A^2 + B^2 - 1; the pair completes iff this is <= 0.
+    """max of A^2 + B^2 - 1 on the 100001-point grid over [0, pi].
 
-    Read on the 100001-point grid from a coarse FFT plus the refined cells
-    that can hold its maximum: the value, and so every decision taken on
-    it, is the full grid's.
+    Synthesis does not call it: complete_cd decides positivity from P over
+    its known zeros.  The name stays because bench/tracing.py resolves it.
     """
-    peak = _refined_squared_magnitude(_square_sum(a, b), _GATE_POINTS)[1].max()
-    return float(peak) - 1.0
+    return float(_squared_magnitude(_square_sum(a, b), 100001).max()) - 1.0
 
 
 def _minimax_polish(*args, **kwargs):
@@ -358,6 +319,10 @@ def complete_cd(
     point.  Factor P(z) = G(z) G(1/z) without root-finding, set
     H(t) = t^s G(t^2) with an odd shift s, and split H into the reciprocal
     part D and the anti-reciprocal part C.
+
+    Positivity is decided once, by _spectral_factor: P over its known zeros
+    must be positive on its cepstrum samples.  The unitarity defect of the
+    quadruple (at most 1e-8) is the referee.
     """
     s = _square_sum(a, b)
     L = s.size // 2
@@ -367,9 +332,6 @@ def complete_cd(
     scale = float(np.max(np.abs(r_full)))
     if scale < 1e-12:
         return TrigPolynomial("sin", [0.0]), TrigPolynomial("cos", [0.0])
-    low = -squared_magnitude_overshoot(a, b)
-    if low < -_POSITIVITY_SLACK:
-        raise CompletionError(f"P dips to {low:.3e} below zero; no completion exists")
 
     m = L
     while m > 0 and abs(r_full[L + m]) < 1e-12 * scale:

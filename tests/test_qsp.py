@@ -57,7 +57,7 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
     assert params == qsp.signal_params_maj(5)
     assert angles.L == params.L
     # slsb4's pair at 4n + 1 overshoots one; the search moves up to 4n + 3.
-    with pytest.raises(qsp.CompletionError, match="P dips"):
+    with pytest.raises(qsp.CompletionError, match="P over its known zeros dips"):
         params = qsp.signal_params_general(4)
         qsp.complete_cd(*qsp.solve_ab(boolfun.slsb_spec(4), params), _weight_points(params, 4))
     params, _ = qsp.synthesize(boolfun.slsb_spec(4))
@@ -289,14 +289,6 @@ def _arity_pairs(n: int) -> tuple:
     return tuple((*qsp.solve_ab(s, p), _weight_points(p, n)) for s, p in schedules)
 
 
-def _assert_refined_grid_is_the_full_grid(s, points):
-    """The refined maximum is the full FFT grid's, at one of its points."""
-    full = qsp._squared_magnitude(s, points)
-    where, values = qsp._refined_squared_magnitude(s, points)
-    assert abs(float(values.max()) - float(full.max())) <= 1e-13
-    assert int(np.argmax(full)) in where
-
-
 def test_squared_magnitude_kernel_matches_direct_evaluation():
     rng = np.random.default_rng(20240614)
     for L in range(1, 42, 2):
@@ -306,43 +298,51 @@ def test_squared_magnitude_kernel_matches_direct_evaluation():
         s = qsp._square_sum(a, b)
         for points in (101, 100001, 200001):
             grid = np.linspace(0.0, math.pi, points)
+            direct = a(grid) ** 2 + b(grid) ** 2
             np.testing.assert_allclose(
-                qsp._squared_magnitude(s, points),
-                a(grid) ** 2 + b(grid) ** 2,
-                rtol=0, atol=1e-12,
+                qsp._squared_magnitude(s, points), direct, rtol=0, atol=1e-12
             )
-        _assert_refined_grid_is_the_full_grid(s, qsp._GATE_POINTS)
-    for a, b, _ in itertools.chain.from_iterable(map(_arity_pairs, range(1, 7))):
-        _assert_refined_grid_is_the_full_grid(qsp._square_sum(a, b), qsp._GATE_POINTS)
+            if points == 100001:
+                overshoot = qsp.squared_magnitude_overshoot(a, b)
+                assert abs(overshoot - (float(direct.max()) - 1.0)) <= 1e-12
 
 
-def test_refined_grid_finds_a_peak_inside_a_coarse_cell():
-    """A^2 peaks at fine point 30005, halfway between coarse points 30000
-    and 30010.  At phi = 0, a coarse point, it is 1 - 4e-10: the coarse
-    maximum, above both ends of the peak's cell.  Only the cell bound
-    sends the refinement into that cell."""
-    points = qsp._GATE_POINTS
-    peak = 30005 * (math.pi / (points - 1))
-    # A = sum_k c_k cos((2k+1) phi / 2) over k < 3 with A(peak) = 1,
-    # A'(peak) = 0 and A(0) = sqrt(1 - 4e-10).
-    j = 2.0 * np.arange(3) + 1.0
-    rows = [np.cos(j * peak / 2), -0.5 * j * np.sin(j * peak / 2), np.ones(3)]
-    a = qsp.TrigPolynomial("cos", np.linalg.solve(rows, [1.0, 0.0, math.sqrt(1 - 4e-10)]))
-    s = qsp._square_sum(a, qsp.TrigPolynomial("sin", [0.0]))
-    full = qsp._squared_magnitude(s, points)
-    coarse = full[:: qsp._CELL]
-    assert int(np.argmax(full)) == 30005
-    assert int(np.argmax(coarse)) == 0
-    assert max(full[30000], full[30010]) < coarse.max()
-    where, values = qsp._refined_squared_magnitude(s, points)
-    assert 30005 in where
-    assert abs(float(values.max()) - float(full.max())) <= 1e-13
+def test_every_refused_degree_dips_below_zero(monkeypatch):
+    """Every degree synthesize tries for a class with n <= 6 that reaches
+    completion: refusals are the known-zero quotient's, and a direct
+    evaluation of 1 - A^2 - B^2 on a 20001-point grid backs each decision."""
+    rungs = []
+    complete_cd = qsp.complete_cd
+
+    def record(a, b, phis):
+        try:
+            cd = complete_cd(a, b, phis)
+        except qsp.CompletionError as exc:
+            rungs.append((a, b, exc))
+            raise
+        rungs.append((a, b, None))
+        return cd
+
+    monkeypatch.setattr(qsp, "complete_cd", record)
+    for n in range(1, 7):
+        for spec in _profiles(n):
+            qsp.synthesize(spec)
+    refused = [(a, b, exc) for a, b, exc in rungs if exc is not None]
+    assert (len(refused), len(rungs) - len(refused)) == (110, 126)
+    grid = np.linspace(0.0, math.pi, 20001)
+    for a, b, exc in rungs:
+        low = float(np.min(1.0 - a(grid) ** 2 - b(grid) ** 2))
+        if exc is None:
+            assert low >= -1e-9
+        else:
+            assert str(exc).startswith("P over its known zeros dips to")
+            assert low < -1e-3
 
 
 def test_completion_rejects_oversized_components():
     a = qsp.TrigPolynomial("cos", [1.2])
     b = qsp.TrigPolynomial("sin", [0.0])
-    with pytest.raises(qsp.CompletionError, match="P dips to -4.400e-01"):
+    with pytest.raises(qsp.CompletionError, match="P over its known zeros dips to -4.400e-01"):
         qsp.complete_cd(a, b, ())
 
 
