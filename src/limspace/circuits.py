@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boolfun import SymmetricSpec
-from .qsp import AngleSequence, SignalParams, _I2, _X, _Z, _frozen, _rz
+from .qsp import AngleSequence, SignalParams, _I2, _X, _Z, _frozen
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -46,6 +46,10 @@ def _rx(phi: float) -> np.ndarray:
 def _ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _rz(xi: float) -> np.ndarray:
+    return np.array([[np.exp(-0.5j * xi), 0], [0, np.exp(0.5j * xi)]])
 
 
 _ROTATION_MATRIX = {"rx": _rx, "ry": _ry, "rz": _rz}
@@ -482,8 +486,12 @@ def compile_qsp(
 _MERGE_TOL = 1e-12
 
 
-def _merged_gate(run: list[GateSpec]) -> GateSpec | None:
-    """Collapse a same-control run into one gate, or None for identity."""
+def _merged_gate(run: list[GateSpec], rotations: dict[tuple, GateSpec]) -> GateSpec | None:
+    """Collapse a same-control run into one gate, or None for identity.
+
+    A merged rotation is taken from rotations, keyed by name, control and
+    the repr of its angle, so equal merged rotations share one gate.
+    """
     if len(run) == 1:
         gate = run[0]
         if gate.name == "matrix" and np.linalg.norm(gate.action - _I2) <= _MERGE_TOL:
@@ -495,7 +503,10 @@ def _merged_gate(run: list[GateSpec]) -> GateSpec | None:
         total = float(sum(g.angle for g in run))
         if abs(total) <= _MERGE_TOL:
             return None
-        return GateSpec.rotation(run[0].name[1], total, control=control)
+        key = (run[0].name, control, repr(total))
+        if key not in rotations:
+            rotations[key] = GateSpec.rotation(run[0].name[1], total, control=control)
+        return rotations[key]
     action = _I2
     for g in run:
         action = g.action @ action
@@ -508,28 +519,35 @@ def _merged_gate(run: list[GateSpec]) -> GateSpec | None:
     return GateSpec.from_matrix(action, label, control=control)
 
 
-def _pass_same_control_runs(gates: list[GateSpec]) -> list[GateSpec]:
+def _pass_same_control_runs(
+    gates: list[GateSpec], rotations: dict[tuple, GateSpec]
+) -> list[GateSpec]:
     out: list[GateSpec] = []
     i = 0
     while i < len(gates):
         j = i
         while j < len(gates) and gates[j].control == gates[i].control:
             j += 1
-        merged = _merged_gate(gates[i:j])
+        merged = _merged_gate(gates[i:j], rotations)
         if merged is not None:
             out.append(merged)
         i = j
     return out
 
 
-def _pass_commuting_runs(gates: list[GateSpec]) -> list[GateSpec]:
+def _pass_commuting_runs(
+    gates: list[GateSpec],
+    rotations: dict[tuple, GateSpec],
+    commutes: dict[tuple[bytes, bytes], bool],
+) -> list[GateSpec]:
     """Group same-control gates inside maximal pairwise-commuting runs.
 
     A candidate bitwise equal to an action already in the run joins it
     unchecked: it commutes with itself, and against every other member
     its commutator is its twin's up to sign, whose norm was already
     checked.  Keying the run by action bytes also checks a new action
-    once per distinct member.
+    once per distinct member, and commutes keeps each decision, keyed by
+    the two actions' bytes, for the later passes.
     """
     out: list[GateSpec] = []
     i = 0
@@ -541,9 +559,9 @@ def _pass_commuting_runs(gates: list[GateSpec]) -> list[GateSpec]:
             candidate = gates[j].action
             key = candidate.tobytes()
             if key not in actions:
-                if any(
-                    np.linalg.norm(candidate @ a - a @ candidate) > _MERGE_TOL
-                    for a in actions.values()
+                if not all(
+                    _commute(candidate, a, (key, a_key), commutes)
+                    for a_key, a in actions.items()
                 ):
                     break
                 actions[key] = candidate
@@ -552,11 +570,18 @@ def _pass_commuting_runs(gates: list[GateSpec]) -> list[GateSpec]:
         for g in gates[i:j]:
             by_control.setdefault(g.control, []).append(g)
         for same in by_control.values():
-            merged = _merged_gate(same)
+            merged = _merged_gate(same, rotations)
             if merged is not None:
                 out.append(merged)
         i = j
     return out
+
+
+def _commute(a: np.ndarray, b: np.ndarray, key: tuple[bytes, bytes], seen: dict) -> bool:
+    """Whether ||ab - ba|| <= _MERGE_TOL, decided once per key in seen."""
+    if key not in seen:
+        seen[key] = bool(np.linalg.norm(a @ b - b @ a) <= _MERGE_TOL)
+    return seen[key]
 
 
 def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
@@ -567,13 +592,17 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     regrouping within runs whose actions all pairwise commute, where
     reordering is free.  Identity gates are dropped; phase multiples of
     the identity are kept because a controlled phase changes the word.
-    The result is verified against the input on every input.
+    Within one call equal merged rotations are one shared gate, and each
+    pair of distinct actions is tested for commutation once.  The result
+    is verified against the input on every input.
     """
     gates = list(c.gates)
+    rotations: dict[tuple, GateSpec] = {}
+    commutes: dict[tuple[bytes, bytes], bool] = {}
     while True:
         before = len(gates)
-        gates = _pass_same_control_runs(gates)
-        gates = _pass_commuting_runs(gates)
+        gates = _pass_same_control_runs(gates, rotations)
+        gates = _pass_commuting_runs(gates, rotations, commutes)
         if len(gates) >= before:
             break
     merged = LimitedSpaceCircuit(

@@ -331,7 +331,7 @@ def test_merge_verifies_above_twelve_inputs(monkeypatch):
     assert circuits.merge_adjacent(c).n == 13
     commuting_runs = circuits._pass_commuting_runs
     monkeypatch.setattr(
-        circuits, "_pass_commuting_runs", lambda gates: commuting_runs(gates)[1:]
+        circuits, "_pass_commuting_runs", lambda gates, *memos: commuting_runs(gates, *memos)[1:]
     )
     with pytest.raises(RuntimeError, match="merge changed the circuit"):
         circuits.merge_adjacent(c)
@@ -415,6 +415,25 @@ def test_compile_qsp_shares_the_signal_block():
         assert len({id(g) for g in controlled}) == spec.n
 
 
+def test_merge_shares_equal_merged_rotations():
+    """Merged maj7 holds 57 rotation gates but 15 distinct records, each one
+    object; the JSON is the text of unshared gates."""
+    spec = boolfun.maj_spec(7)
+    params, angles = qsp.synthesize(spec)
+    merged = circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params))
+    rotations = [g for g in merged.gates if g.name in ("rx", "ry", "rz")]
+    assert len(rotations) == 57
+    assert len({(g.name, g.control, repr(g.angle)) for g in rotations}) == 15
+    assert len({id(g) for g in rotations}) == 15
+    unshared = circuits.LimitedSpaceCircuit(
+        n=merged.n,
+        gates=tuple(circuits.GateSpec.from_json_dict(g.to_json_dict()) for g in merged.gates),
+        phase_convention=merged.phase_convention,
+    )
+    assert merged.to_json() == unshared.to_json() == json.dumps(merged.to_json_dict(), indent=2)
+    assert np.array_equal(merged.words(), unshared.words())
+
+
 def test_compile_qsp_complements_functions_true_on_the_empty_word():
     spec = boolfun.SymmetricSpec(3, (1, 1, 0, 0))
     params = qsp.signal_params_maj(3)
@@ -466,8 +485,9 @@ def _words_mask_per_gate(c):
     return out
 
 
-def _commuting_runs_all_pairs(gates):
-    """The commuting-run pass that checked each candidate against every member."""
+def _commuting_runs_all_pairs(gates, *memos):
+    """The commuting-run pass that checked each candidate against every
+    member, each time, and built every merged gate anew."""
     out = []
     i = 0
     while i < len(gates):
@@ -486,7 +506,7 @@ def _commuting_runs_all_pairs(gates):
         for g in gates[i:j]:
             by_control.setdefault(g.control, []).append(g)
         for run in by_control.values():
-            merged = circuits._merged_gate(run)
+            merged = circuits._merged_gate(run, {})
             if merged is not None:
                 out.append(merged)
         i = j

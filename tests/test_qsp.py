@@ -515,3 +515,119 @@ def test_majority_pipeline_end_to_end():
 
 def test_general_pipeline_end_to_end():
     _check_full_pipeline(boolfun.slsb_spec(4), (0, 0, 1, 1, 0))
+
+
+def _full_width_angles(quad):
+    """The degree reduction over all 2L + 1 coefficient rows at every step,
+    as find_angles ran before it formed only the surviving band."""
+    L = quad.L
+    coeffs = np.zeros((2 * L + 1, 2, 2), dtype=complex)
+    parts = (
+        (quad.a, qsp._I2, 1.0), (quad.b, qsp._X, 1j), (quad.c, qsp._Y, 1j), (quad.d, qsp._Z, 1j)
+    )
+    for poly, basis, factor in parts:
+        coeffs += np.multiply.outer(factor * poly.laurent(L), basis)
+    center = L
+    xi = np.zeros(L + 1)
+    for d in range(L, 0, -1):
+        lead = coeffs[center + d]
+        row = lead[0] if np.linalg.norm(lead[0]) >= np.linalg.norm(lead[1]) else lead[1]
+        v = np.array([-row[1], row[0]])
+        xi[d] = float(np.angle(v[1] * np.conj(v[0])))
+        e = np.exp(1j * xi[d])
+        qp = 0.5 * np.array([[1, np.conj(e)], [e, 1]])
+        qm = qsp._I2 - qp
+        new = np.zeros_like(coeffs)
+        new[: 2 * center] += coeffs[1:] @ qm
+        new[1:] += coeffs[: 2 * center] @ qp
+        new[np.abs(new) < 1e-9] = 0.0
+        new[center + d :] = 0.0
+        new[: center - d + 1] = 0.0
+        coeffs = new
+    xi[0] = 2.0 * float(np.angle(coeffs[center][1, 1]))
+    return xi
+
+
+def test_banded_reduction_is_bitwise_the_full_width_loop():
+    specs = [boolfun.maj_spec(n) for n in (3, 5, 7)]
+    for n in range(1, 7):
+        specs += [boolfun.SymmetricSpec(n, (0, *t)) for t in itertools.product((0, 1), repeat=n)]
+    for spec in specs:
+        _, quad = _solved_quadruple(spec)
+        assert qsp.find_angles(quad).xi.tobytes() == _full_width_angles(quad).tobytes(), spec
+
+
+def _stacked_reconstruct(xi, phi):
+    """U(phi) as the product of the 2x2 factor matrices, one matmul per angle."""
+    half = 0.5 * np.asarray(phi, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    u = np.broadcast_to(
+        np.diag([np.exp(-0.5j * xi[0]), np.exp(0.5j * xi[0])]), c.shape + (2, 2)
+    )
+    for x in xi[1:]:
+        factor = np.empty(c.shape + (2, 2), dtype=complex)
+        factor[..., 0, 0] = factor[..., 1, 1] = c
+        factor[..., 0, 1] = -1j * s * np.exp(-1j * x)
+        factor[..., 1, 0] = -1j * s * np.exp(1j * x)
+        u = u @ factor
+    return u
+
+
+def _stacked_matrix(quad, phi):
+    a, b, c, d = (np.asarray(p(phi))[..., None, None] for p in (quad.a, quad.b, quad.c, quad.d))
+    return a * np.eye(2) + 1j * b * qsp._X + 1j * c * qsp._Y + 1j * d * qsp._Z
+
+
+def test_pair_kernel_matches_the_stacked_matrix_products():
+    phis = np.random.default_rng(3).uniform(-2 * math.pi, 2 * math.pi, size=(3, 40))
+    general6 = boolfun.SymmetricSpec(6, (0, 1, 1, 0, 1, 0, 0))
+    specs = (boolfun.slsb_spec(4), boolfun.maj_spec(5), general6)
+    for spec in specs:
+        _, quad = _solved_quadruple(spec)
+        angles = qsp.find_angles(quad)
+        for phi in (phis, 0.37, -2.0):
+            got = qsp.reconstruct(angles, phi)
+            assert got.shape == np.shape(phi) + (2, 2)
+            want = _stacked_reconstruct(angles.xi, phi)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            want = _stacked_matrix(quad, phi)
+            np.testing.assert_allclose(quad.matrix(phi), want, rtol=0, atol=1e-13)
+
+
+def test_closed_form_reconstruction_error_is_the_spectral_norm():
+    """On the factored angles (error near 1e-15) and on perturbed ones (near 1e-2)."""
+    phis = np.random.default_rng(20240614).uniform(-2 * math.pi, 2 * math.pi, size=100)
+    rng = np.random.default_rng(5)
+    specs = (boolfun.slsb_spec(5), boolfun.maj_spec(7), boolfun.SymmetricSpec(4, (0, 0, 1, 1, 1)))
+    for spec in specs:
+        _, quad = _solved_quadruple(spec)
+        xi = qsp.find_angles(quad).xi
+        for angles in (xi, xi + 1e-2 * rng.standard_normal(xi.size)):
+            diff = qsp.reconstruct(qsp.AngleSequence(angles), phis) - quad.matrix(phis)
+            svd = np.linalg.norm(diff, ord=2, axis=(1, 2))
+            np.testing.assert_allclose(
+                qsp._reconstruction_error(angles, quad, phis), svd, rtol=0, atol=1e-13
+            )
+
+
+def test_angle_finding_rejects_a_scaled_quadruple_by_reconstruction():
+    """Scaling a unitary quadruple by 1 + 1e-5 leaves every reduction step
+    intact; only the reconstruction check sees the 1e-5 spectral error."""
+    _, quad = _solved_quadruple(boolfun.slsb_spec(4))
+    scaled = qsp.QspQuadruple(
+        *(qsp.TrigPolynomial(p.kind, (1 + 1e-5) * p.coeffs)
+          for p in (quad.a, quad.b, quad.c, quad.d))
+    )
+    with pytest.raises(qsp.AngleFindingError, match="reconstruction error 1.000e-05 exceeds 1e-6"):
+        qsp.find_angles(scaled)
+
+
+def test_reconstruct_returns_a_new_writable_array_at_every_degree():
+    for xi in ([0.3], [0.3, -1.1], [0.3, -1.1, 0.7]):
+        angles = qsp.AngleSequence(xi)
+        for phi in (0.5, np.linspace(-1.0, 1.0, 7)):
+            u = qsp.reconstruct(angles, phi)
+            assert u.flags.writeable and u.flags.owndata
+            np.testing.assert_allclose(u, _stacked_reconstruct(angles.xi, phi), rtol=0, atol=1e-15)
+            u[...] = 0.0
+            assert np.abs(qsp.reconstruct(angles, phi)).max() > 0.5

@@ -23,3 +23,21 @@ def test_noise_threshold_rejects_an_arity_the_family_lacks(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error: --mc-n" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_qsp_stage_times_reports_every_stage():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "qsp_stage_times.py"),
+         "--min-n", "2", "--max-n", "3"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "n=2..3  profiles=24  refused=0"
+    stages = ("synthesize", "solve_ab", "complete_cd", "find_angles", "compile_qsp",
+              "merge_adjacent", "to_json", "from_json")
+    assert [line.split()[0] for line in lines[1:]] == list(stages)
+    assert all(line.endswith(" ms/profile") and float(line.split()[1]) > 0 for line in lines[1:])
