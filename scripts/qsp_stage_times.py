@@ -10,7 +10,7 @@ timed by wrapping `qsp.solve_ab`, `qsp.complete_cd` and
 degree the degree search tries, the refused ones included.  BLAS runs on
 one thread.  Prints the mean wall time per profile of each stage:
 
-    PYTHONPATH=src python3 scripts/qsp_stage_times.py [--min-n 5] [--max-n 7]
+    PYTHONPATH=src python3 scripts/qsp_stage_times.py
 """
 
 import os
@@ -18,13 +18,13 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import itertools  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
 
 from limspace import boolfun, circuits, qsp  # noqa: E402
 
+ARITIES = range(5, 8)
 QSP_STAGES = ("solve_ab", "complete_cd", "find_angles")
 STAGES = ("synthesize", *QSP_STAGES, "compile_qsp", "merge_adjacent", "to_json", "from_json")
 
@@ -84,15 +84,8 @@ def stage_times(arities) -> tuple[Counter, int, int]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--min-n", type=int, default=5)
-    parser.add_argument("--max-n", type=int, default=7)
-    args = parser.parse_args()
-    if not 1 <= args.min_n <= args.max_n:
-        parser.error("need 1 <= --min-n <= --max-n")
-
-    totals, profiles, refused = stage_times(range(args.min_n, args.max_n + 1))
-    print(f"n={args.min_n}..{args.max_n}  profiles={profiles}  refused={refused}")
+    totals, profiles, refused = stage_times(ARITIES)
+    print(f"n={ARITIES[0]}..{ARITIES[-1]}  profiles={profiles}  refused={refused}")
     for name in STAGES:
         print(f"{name:<15} {1e3 * totals[name] / profiles:8.3f} ms/profile")
 

@@ -472,16 +472,47 @@ def test_angle_finding_rejects_a_padded_quadruple():
         qsp.find_angles(padded)
 
 
+def _stacked_reconstruct(xi, phi):
+    """U(phi) as the product of the 2x2 factor matrices, one matmul per angle."""
+    half = 0.5 * np.asarray(phi, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    u = np.broadcast_to(
+        np.diag([np.exp(-0.5j * xi[0]), np.exp(0.5j * xi[0])]), c.shape + (2, 2)
+    )
+    for x in xi[1:]:
+        factor = np.empty(c.shape + (2, 2), dtype=complex)
+        factor[..., 0, 0] = factor[..., 1, 1] = c
+        factor[..., 0, 1] = -1j * s * np.exp(-1j * x)
+        factor[..., 1, 0] = -1j * s * np.exp(1j * x)
+        u = u @ factor
+    return u
+
+
+def _stacked_matrix(quad, phi):
+    a, b, c, d = (np.asarray(p(phi))[..., None, None] for p in (quad.a, quad.b, quad.c, quad.d))
+    return a * np.eye(2) + 1j * b * qsp._X + 1j * c * qsp._Y + 1j * d * qsp._Z
+
+
 def test_batched_evaluation_matches_per_angle_evaluation():
-    _, quad = _solved_quadruple(boolfun.slsb_spec(4))
-    angles = qsp.find_angles(quad)
+    """Batched against per-angle calls, and both against the stacked 2x2
+    matrix products."""
     phis = np.random.default_rng(7).uniform(-2 * math.pi, 2 * math.pi, size=(4, 25))
-    for evaluate in (lambda p: qsp.reconstruct(angles, p), quad.matrix):
-        batched = evaluate(phis)
-        assert batched.shape == (4, 25, 2, 2)
-        stacked = np.array([[evaluate(float(p)) for p in row] for row in phis])
-        np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-14)
-        assert evaluate(0.37).shape == (2, 2)
+    general6 = boolfun.SymmetricSpec(6, (0, 1, 1, 0, 1, 0, 0))
+    for spec in (boolfun.slsb_spec(4), boolfun.maj_spec(5), general6):
+        _, quad = _solved_quadruple(spec)
+        angles = qsp.find_angles(quad)
+        evaluators = (
+            (lambda p: qsp.reconstruct(angles, p), lambda p: _stacked_reconstruct(angles.xi, p)),
+            (quad.matrix, lambda p: _stacked_matrix(quad, p)),
+        )
+        for evaluate, reference in evaluators:
+            batched = evaluate(phis)
+            assert batched.shape == (4, 25, 2, 2)
+            stacked = np.array([[evaluate(float(p)) for p in row] for row in phis])
+            np.testing.assert_allclose(batched, stacked, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(batched, reference(phis), rtol=0, atol=1e-13)
+            assert evaluate(0.37).shape == (2, 2)
+            np.testing.assert_allclose(evaluate(0.37), reference(0.37), rtol=0, atol=1e-13)
 
 
 @given(st.lists(st.floats(min_value=-6, max_value=6), min_size=2, max_size=10))
@@ -557,43 +588,6 @@ def test_banded_reduction_is_bitwise_the_full_width_loop():
         assert qsp.find_angles(quad).xi.tobytes() == _full_width_angles(quad).tobytes(), spec
 
 
-def _stacked_reconstruct(xi, phi):
-    """U(phi) as the product of the 2x2 factor matrices, one matmul per angle."""
-    half = 0.5 * np.asarray(phi, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    u = np.broadcast_to(
-        np.diag([np.exp(-0.5j * xi[0]), np.exp(0.5j * xi[0])]), c.shape + (2, 2)
-    )
-    for x in xi[1:]:
-        factor = np.empty(c.shape + (2, 2), dtype=complex)
-        factor[..., 0, 0] = factor[..., 1, 1] = c
-        factor[..., 0, 1] = -1j * s * np.exp(-1j * x)
-        factor[..., 1, 0] = -1j * s * np.exp(1j * x)
-        u = u @ factor
-    return u
-
-
-def _stacked_matrix(quad, phi):
-    a, b, c, d = (np.asarray(p(phi))[..., None, None] for p in (quad.a, quad.b, quad.c, quad.d))
-    return a * np.eye(2) + 1j * b * qsp._X + 1j * c * qsp._Y + 1j * d * qsp._Z
-
-
-def test_pair_kernel_matches_the_stacked_matrix_products():
-    phis = np.random.default_rng(3).uniform(-2 * math.pi, 2 * math.pi, size=(3, 40))
-    general6 = boolfun.SymmetricSpec(6, (0, 1, 1, 0, 1, 0, 0))
-    specs = (boolfun.slsb_spec(4), boolfun.maj_spec(5), general6)
-    for spec in specs:
-        _, quad = _solved_quadruple(spec)
-        angles = qsp.find_angles(quad)
-        for phi in (phis, 0.37, -2.0):
-            got = qsp.reconstruct(angles, phi)
-            assert got.shape == np.shape(phi) + (2, 2)
-            want = _stacked_reconstruct(angles.xi, phi)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-            want = _stacked_matrix(quad, phi)
-            np.testing.assert_allclose(quad.matrix(phi), want, rtol=0, atol=1e-13)
-
-
 def test_closed_form_reconstruction_error_is_the_spectral_norm():
     """On the factored angles (error near 1e-15) and on perturbed ones (near 1e-2)."""
     phis = np.random.default_rng(20240614).uniform(-2 * math.pi, 2 * math.pi, size=100)
@@ -628,6 +622,5 @@ def test_reconstruct_returns_a_new_writable_array_at_every_degree():
         for phi in (0.5, np.linspace(-1.0, 1.0, 7)):
             u = qsp.reconstruct(angles, phi)
             assert u.flags.writeable and u.flags.owndata
-            np.testing.assert_allclose(u, _stacked_reconstruct(angles.xi, phi), rtol=0, atol=1e-15)
             u[...] = 0.0
             assert np.abs(qsp.reconstruct(angles, phi)).max() > 0.5

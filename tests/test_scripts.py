@@ -1,8 +1,11 @@
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
+
+from limspace import qsp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,19 +28,18 @@ def test_noise_threshold_rejects_an_arity_the_family_lacks(args):
     assert "error: --mc-n" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_qsp_stage_times_reports_every_stage():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "qsp_stage_times.py"),
-         "--min-n", "2", "--max-n", "3"],
-        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_qsp_stage_times_reports_every_stage(monkeypatch):
+    # Loading the script pins BLAS to one thread; monkeypatch restores the
+    # variables when the test ends.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "qsp_stage_times", os.path.join(ROOT, "scripts", "qsp_stage_times.py")
     )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "n=2..3  profiles=24  refused=0"
-    stages = ("synthesize", "solve_ab", "complete_cd", "find_angles", "compile_qsp",
-              "merge_adjacent", "to_json", "from_json")
-    assert [line.split()[0] for line in lines[1:]] == list(stages)
-    assert all(line.endswith(" ms/profile") and float(line.split()[1]) > 0 for line in lines[1:])
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    totals, profiles, refused = script.stage_times(range(2, 4))
+    assert (profiles, refused) == (24, 0)
+    assert set(totals) == set(script.STAGES)
+    assert all(totals[name] > 0 for name in script.STAGES)
+    assert script.qsp.find_angles is qsp.find_angles
