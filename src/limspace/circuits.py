@@ -60,11 +60,12 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +104,10 @@ class GateSpec:
         if self.name == "matrix":
             if self.matrix is None:
                 raise ValueError("matrix gate needs a matrix")
-            m = np.array(self.matrix, dtype=complex)
+            try:
+                m = np.array(self.matrix, dtype=complex)
+            except OverflowError as err:
+                raise ValueError(f"gate matrix entries must be finite: {err}") from err
             if m.shape != (2, 2):
                 raise ValueError("gate matrix must be 2x2")
             if not np.isfinite(m).all():
@@ -166,6 +170,8 @@ class GateSpec:
                 flat = [complex(re, im) for re, im in data["matrix"]]
             except TypeError as err:
                 raise ValueError(f"matrix entries must be [re, im] pairs: {err}") from err
+            except OverflowError as err:
+                raise ValueError(f"gate matrix entries must be finite: {err}") from err
             matrix = np.array(flat, dtype=complex).reshape(2, 2)
         return cls(
             name=data["name"],
@@ -314,7 +320,11 @@ class LimitedSpaceCircuit:
 
     @classmethod
     def from_json(cls, text: str) -> "LimitedSpaceCircuit":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as err:
+            raise ValueError("circuit JSON is nested too deeply") from err
+        return cls.from_json_dict(data)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -29,7 +29,7 @@ from math import pi
 
 import numpy as np
 
-from .boolfun import SymmetricSpec
+from .boolfun import SymmetricSpec, maj_spec
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,33 +76,28 @@ class SignalParams:
 def signal_params_general(n: int, L: int | None = None) -> SignalParams:
     """Schedule phi_w = pi w / (n + 1) for any symmetric target of arity n.
 
-    L defaults to 4n + 1, the least degree whose 2n + 1 coefficients per
-    polynomial meet the value and flat derivative at all n + 1 weight
-    points.  That pair need not complete (A^2 + B^2 can exceed one between
-    weight points), so synthesize searches L = 4n + 1, 4n + 3, ..., 4n + 9.
-    Every profile with n <= 10 settles by 4n + 7; 4n + 9 is there for
-    larger arities, such as the sampled n = 18 profile that needs it.
+    Every profile but majority and its complement takes it.  L defaults to
+    4n + 1, the least degree whose 2n + 1 coefficients per polynomial meet
+    the value and flat derivative at all n + 1 weight points.  That pair
+    need not complete (A^2 + B^2 can exceed one between weight points), so
+    synthesize searches L = 4n + 1, 4n + 3, ..., 4n + 9.  Every profile
+    with n <= 10 settles by 4n + 7; 4n + 9 is there for larger arities,
+    such as the sampled n = 18 profile that needs it.
     """
     return SignalParams(pi / (n + 1), 0.0, 4 * n + 1 if L is None else L)
 
 
 def signal_params_maj(n: int) -> SignalParams:
-    """Shorter schedule for targets with f(w) = 1 - f(n - w), majority included."""
+    """Shorter schedule, L = 2n + 1, for majority and its complement.
+
+    Its pinned system ties B to A, B(phi_w) = A(phi_{n - w}), so only a
+    target with f(w) = 1 - f(n - w) at every weight can meet it, and of
+    those only majority and its complement solve and complete; synthesize
+    takes it for those two profiles and no other.
+    """
     if n % 2 == 0:
         raise ValueError("majority parameters need odd arity")
     return SignalParams(2 * pi / (n + 1), (pi / 2) * (n - 1) / (n + 1), 2 * n + 1, True)
-
-
-def _majority_symmetric(by_weight) -> bool:
-    """f(w) xor f(n - w) = 1 at every weight; invariant under complementing f."""
-    return all(a ^ b == 1 for a, b in zip(by_weight, reversed(by_weight)))
-
-
-def signal_params(f: SymmetricSpec) -> SignalParams:
-    """Majority schedule iff f(w) = 1 - f(n - w) at every weight, else general."""
-    if _majority_symmetric(f.by_weight):
-        return signal_params_maj(f.n)
-    return signal_params_general(f.n)
 
 
 class TrigPolynomial:
@@ -174,10 +169,12 @@ def solve_ab(
     Targets are A(phi_w) = 1 - f(w) and B(phi_w) = f(w), with a zero
     derivative of both at every weight point.  Above the least degree the
     system has more coefficients than independent rows, and the
-    minimum-norm solution is taken.  Whether the pair completes (max
-    A^2 + B^2 <= 1) is complete_cd's decision.  A target with f(0^n) = 1
-    is complemented first; callers account for the flip by checking
-    f(0^n) themselves.
+    minimum-norm solution is taken.  One check, _check_targets, refuses a
+    pair that misses any target by more than 1e-10; on the majority
+    schedule B is A mirrored, so a target that is not anti-symmetric
+    misses B by 1.  Whether the pair completes (max A^2 + B^2 <= 1) is
+    complete_cd's decision.  A target with f(0^n) = 1 is complemented
+    first; callers account for the flip by checking f(0^n) themselves.
     """
     values = list(f.by_weight)
     if values[0] == 1:
@@ -188,8 +185,6 @@ def solve_ab(
     a_target = 1.0 - np.asarray(values, dtype=float)
     b_target = np.asarray(values, dtype=float)
 
-    if params.maj_symmetry and not _majority_symmetric(values):
-        raise SolveError("maj shortcut needs f(w) + f(n-w) = 1 at every weight")
     a = _solve_pinned("cos", phis, a_target, params.L)
     if params.maj_symmetry:
         # B(t) = A(-it): in half-angle series b_k = (-1)^k a_k.
@@ -205,18 +200,15 @@ def solve_ab(
 def _solve_pinned(
     kind: str, phis: np.ndarray, targets: np.ndarray, L: int
 ) -> TrigPolynomial:
-    """Values plus zero derivative at every weight point, minimum-norm."""
+    """Values plus zero derivative at every weight point, minimum-norm;
+    solve_ab checks the fit."""
     size = (L + 1) // 2
     other, slope = _DERIVATIVE[kind]
     harmonics = 2.0 * np.arange(size) + 1.0
     derivs = _half_angle_basis(other, phis, size) * (slope * harmonics)
     rows = np.vstack([_half_angle_basis(kind, phis, size), derivs])
     rhs = np.concatenate([targets, np.zeros(phis.size)])
-    coeffs = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-    residual = float(np.max(np.abs(rows @ coeffs - rhs)))
-    if residual > 1e-10:
-        raise SolveError(f"{kind} system residual {residual:.3e} exceeds 1e-10")
-    return TrigPolynomial(kind, coeffs)
+    return TrigPolynomial(kind, np.linalg.lstsq(rows, rhs, rcond=None)[0])
 
 
 def _square_sum(*polys: TrigPolynomial) -> np.ndarray:
@@ -549,16 +541,22 @@ _GENERAL_DEGREES = 5
 def synthesize(f: SymmetricSpec) -> tuple[SignalParams, AngleSequence]:
     """The schedule and angles that compute f: choose, interpolate, complete, factor.
 
-    The majority schedule is taken where it applies and its pair solves
-    and completes; otherwise the general schedule at the first degree
-    L = 4n + 1, 4n + 3, ..., 4n + 9 whose pair does.  The returned params
-    are the ones used.  Raises the last SolveError or CompletionError when
-    no degree up to 4n + 9 does, and an AngleFindingError at once.
+    The schedule is read from the profile: majority and its complement
+    take the majority schedule (L = 2n + 1), every other profile the
+    general schedule at the first degree L = 4n + 1, 4n + 3, ..., 4n + 9
+    whose pair solves and completes.  The returned params are the ones
+    used.  Raises the last SolveError or CompletionError when the majority
+    schedule or every degree up to 4n + 9 fails, and an AngleFindingError
+    at once.
     """
     n = f.n
-    first = signal_params(f)
-    schedules = [first] if first.maj_symmetry else []
-    schedules += [signal_params_general(n, 4 * n + 1 + 2 * k) for k in range(_GENERAL_DEGREES)]
+    # solve_ab complements a target with f(0^n) = 1, so it sees majority's
+    # complement as majority.
+    values = tuple(v ^ f.by_weight[0] for v in f.by_weight)
+    if n % 2 and values == maj_spec(n).by_weight:
+        schedules = [signal_params_maj(n)]
+    else:
+        schedules = [signal_params_general(n, 4 * n + 1 + 2 * k) for k in range(_GENERAL_DEGREES)]
     for params in schedules:
         try:
             a, b = solve_ab(f, params)

@@ -40,6 +40,9 @@ def test_gate_spec_validation():
         dict(name="ry", angle=True),
         dict(name="matrix", matrix=np.full((2, 2), np.nan), label="m"),
         dict(name="h", label=3),
+        # Integers beyond the float range.
+        dict(name="rx", angle=10**400),
+        dict(name="matrix", matrix=[[10**400, 0], [0, 1]], label="m"),
     ]
     for kwargs in malformed:
         with pytest.raises(ValueError):
@@ -47,7 +50,9 @@ def test_gate_spec_validation():
     for n in (2.0, True, "3"):
         with pytest.raises(ValueError):
             circuits.LimitedSpaceCircuit(n=n, gates=())
-    for data in ([], {"n": 1, "gates": "xx"}, {"n": 1, "gates": [["x"]]}):
+    huge_entry = {"name": "matrix", "matrix": [[10**400, 0], [0, 0], [0, 0], [1, 0]], "label": "m"}
+    for data in ([], {"n": 1, "gates": "xx"}, {"n": 1, "gates": [["x"]]},
+                 {"n": 1, "gates": [huge_entry]}):
         with pytest.raises(ValueError):
             circuits.LimitedSpaceCircuit.from_json_dict(data)
     gate = circuits.GateSpec(name="rx", angle=np.float64(0.5), control=np.int64(2))

@@ -1,8 +1,10 @@
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,14 +435,18 @@ def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
         # A valid record repeated with a bool or float control is still refused.
         {"n": 3, "gates": [{"name": "x", "control": 1}, {"name": "x", "control": True}]},
         {"n": 3, "gates": [{"name": "x", "control": 1}, {"name": "x", "control": 1.0}]},
+        # Integers beyond the float range, as an angle and as a matrix entry.
+        {"n": 3, "gates": [{"name": "rx", "angle": 10**400}]},
+        {"n": 3, "gates": [{"name": "matrix", "label": "m",
+                            "matrix": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}]},
     ]
     path = tmp_path / "broken.json"
-    for text in ["{ not json"] + [json.dumps(c) for c in malformed]:
+    for text in ["{ not json", "[" * 200000] + [json.dumps(c) for c in malformed]:
         path.write_text(text)
         code, _, err = _run(capsys, ["simulate", "--circuit", str(path),
                                      "--fn", "maj", "--n", "3"])
-        assert code == 2, text
-        assert err.startswith("error: bad circuit file"), text
+        assert code == 2, text[:80]
+        assert err.startswith("error: bad circuit file"), text[:80]
 
 
 def test_argparse_rejects_unknown_subcommands(capsys):
@@ -481,12 +487,20 @@ def test_classical_and_bounds_leave_scipy_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.skipif(shutil.which("limspace") is None, reason="script not on PATH")
-def test_console_script():
-    proc = subprocess.run(
-        ["limspace", "crossover", "--eps", "0.0", "--family", "slsb"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "crossover at n = 6 (slsb, eps=0.0)\n"
+def test_console_script(capsys, monkeypatch):
+    """The `limspace` entry that pyproject.toml declares, called in-process as
+    the installed script calls it, and the installed script when on PATH."""
+    argv = ["crossover", "--eps", "0.0", "--family", "slsb"]
+    want = "crossover at n = 6 (slsb, eps=0.0)\n"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["limspace"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["limspace", *argv])
+    assert entry() == 0
+    assert capsys.readouterr().out == want
+    if shutil.which("limspace") is not None:
+        proc = subprocess.run(["limspace", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == want

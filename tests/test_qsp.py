@@ -40,16 +40,24 @@ def test_signal_params_layout():
         qsp.signal_params_maj(4)
 
 
-def test_signal_params_follows_the_anti_symmetry_rule():
-    anti_profiles = 0
-    for n in range(1, 9):
-        for code in range(1 << (n + 1)):  # every profile, f(0) = 1 ones included
-            values = tuple((code >> w) & 1 for w in range(n + 1))
-            anti = all(values[w] + values[n - w] == 1 for w in range(n + 1))
-            anti_profiles += anti
-            expected = qsp.signal_params_maj(n) if anti else qsp.signal_params_general(n)
-            assert qsp.signal_params(boolfun.SymmetricSpec(n, values)) == expected
-    assert anti_profiles == 2 + 4 + 8 + 16  # 2^((n+1)/2) for n = 1, 3, 5, 7
+def test_only_majority_and_its_complement_meet_the_majority_schedule():
+    """Of the 2^((n+1)/2) profiles with f(w) = 1 - f(n - w), the only ones
+    the majority schedule can carry, majority and its complement solve and
+    complete there at every odd n <= 23; every other one misses its targets."""
+    for n in range(1, 24, 2):
+        params = qsp.signal_params_maj(n)
+        majority = boolfun.maj_spec(n).by_weight
+        solved = []
+        for low in itertools.product((0, 1), repeat=(n + 1) // 2):
+            spec = boolfun.SymmetricSpec(n, low + tuple(1 - v for v in reversed(low)))
+            if spec.by_weight not in (majority, tuple(1 - v for v in majority)):
+                with pytest.raises(qsp.SolveError, match="constraint residual"):
+                    qsp.solve_ab(spec, params)
+                continue
+            a, b = qsp.solve_ab(spec, params)
+            qsp.complete_cd(a, b, _weight_points(params, n))
+            solved.append(spec)
+        assert len(solved) == 2, n
 
 
 def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch):
@@ -62,9 +70,9 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
         qsp.complete_cd(*qsp.solve_ab(boolfun.slsb_spec(4), params), _weight_points(params, 4))
     params, _ = qsp.synthesize(boolfun.slsb_spec(4))
     assert params == qsp.signal_params_general(4, 19)
-    # Anti-symmetric profiles whose majority-schedule system is infeasible
-    # fall back to the general schedule and return the params they used.
-    with pytest.raises(qsp.SolveError, match="cos system residual"):
+    # slsb7 is anti-symmetric but not majority: its targets miss the
+    # majority schedule, and synthesize takes the general one.
+    with pytest.raises(qsp.SolveError, match="constraint residual 5.000e-01"):
         qsp.solve_ab(boolfun.slsb_spec(7), qsp.signal_params_maj(7))
     params, angles = qsp.synthesize(boolfun.slsb_spec(7))
     assert params == qsp.signal_params_general(7, 31)
@@ -82,6 +90,12 @@ def test_synthesize_chooses_the_schedule_and_raises_the_stage_error(monkeypatch)
     with pytest.raises(qsp.CompletionError, match="refused at 25"):
         qsp.synthesize(boolfun.slsb_spec(4))
     assert tried == [17, 19, 21, 23, 25]
+    # Majority and its complement try the majority schedule only.
+    for values in (boolfun.maj_spec(5).by_weight, (1, 1, 1, 0, 0, 0)):
+        tried.clear()
+        with pytest.raises(qsp.CompletionError, match="refused at 11"):
+            qsp.synthesize(boolfun.SymmetricSpec(5, values))
+        assert tried == [11]
 
 
 def test_trig_polynomial_evaluation_and_laurent():
@@ -129,7 +143,7 @@ def test_majority_shortcut_hits_targets():
 
 def test_majority_shortcut_rejects_asymmetric_targets():
     spec = boolfun.SymmetricSpec(3, (0, 1, 1, 0))
-    with pytest.raises(qsp.SolveError):
+    with pytest.raises(qsp.SolveError, match="constraint residual"):
         qsp.solve_ab(spec, qsp.signal_params_maj(3))
 
 
@@ -202,6 +216,7 @@ def test_synthesis_is_total_up_to_arity_8():
         for spec in _profiles(n):
             params, angles = qsp.synthesize(spec)
             assert angles.L == params.L <= 4 * n + 7, spec
+            assert params.maj_symmetry == (n % 2 == 1 and spec == boolfun.maj_spec(n)), spec
             degrees[params.L] += 1
             merged = circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params))
             assert simulate.asp(merged, boolfun.make_symmetric(spec)).asp >= 1.0 - 1e-9, spec
