@@ -19,7 +19,13 @@ near-affine; synth --format json for every symmetric profile with
 n <= 8; simulate of each
 written circuit with --eps/--shots/--seed, JSON and --out; direct
 synthesis at n = 4, 6, 12; crossover; usage and argparse errors, and
-simulate of malformed circuit files.  It takes a few minutes.
+simulate of malformed circuit files (a float or bool control, a text
+angle, a float n, a text gate list, a phase_convention that is a huge
+integer or a list).  It takes a few minutes.
+
+The corpus still runs `synth --asp-tol`, an option `synth` no longer
+has: against a checkout that has it, those lines show the removal (exit
+1 or 2 with a usage error there, an argparse error here).
 """
 
 import argparse
@@ -75,10 +81,10 @@ def _tables():
     return out
 
 
-def _circuit_text(n=3, gates=None):
+def _circuit_text(n=3, gates=None, phase_convention=""):
     if gates is None:
         gates = [{"control": 1, "name": "x", "angle": None, "matrix": None, "label": "x"}]
-    return json.dumps({"n": n, "phase_convention": "", "gates": gates})
+    return json.dumps({"n": n, "phase_convention": phase_convention, "gates": gates})
 
 
 # Circuit files that simulate must refuse as a bad circuit file.
@@ -88,6 +94,8 @@ MALFORMED = {
     "angle_text": _circuit_text(gates=[{"name": "rx", "angle": "abc"}]),
     "n_float": _circuit_text(n=3.0),
     "gates_text": _circuit_text(gates="xx"),
+    "phase_convention_huge": _circuit_text(phase_convention=10**400),
+    "phase_convention_list": _circuit_text(phase_convention=["relative phase"]),
 }
 
 

@@ -232,6 +232,10 @@ class LimitedSpaceCircuit:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one input bit")
+        if not isinstance(self.phase_convention, str):
+            raise ValueError(
+                f"phase_convention must be a string, got {self.phase_convention!r}"
+            )
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.control is not None and g.control > self.n:
@@ -496,12 +500,8 @@ def compile_qsp(
 _MERGE_TOL = 1e-12
 
 
-def _merged_gate(run: list[GateSpec], rotations: dict[tuple, GateSpec]) -> GateSpec | None:
-    """Collapse a same-control run into one gate, or None for identity.
-
-    A merged rotation is taken from rotations, keyed by name, control and
-    the repr of its angle, so equal merged rotations share one gate.
-    """
+def _merged_gate(run: list[GateSpec]) -> GateSpec | None:
+    """Collapse a same-control run into one gate, or None for identity."""
     if len(run) == 1:
         gate = run[0]
         if gate.name == "matrix" and np.linalg.norm(gate.action - _I2) <= _MERGE_TOL:
@@ -513,10 +513,7 @@ def _merged_gate(run: list[GateSpec], rotations: dict[tuple, GateSpec]) -> GateS
         total = float(sum(g.angle for g in run))
         if abs(total) <= _MERGE_TOL:
             return None
-        key = (run[0].name, control, repr(total))
-        if key not in rotations:
-            rotations[key] = GateSpec.rotation(run[0].name[1], total, control=control)
-        return rotations[key]
+        return GateSpec.rotation(run[0].name[1], total, control=control)
     action = _I2
     for g in run:
         action = g.action @ action
@@ -529,16 +526,14 @@ def _merged_gate(run: list[GateSpec], rotations: dict[tuple, GateSpec]) -> GateS
     return GateSpec.from_matrix(action, label, control=control)
 
 
-def _pass_same_control_runs(
-    gates: list[GateSpec], rotations: dict[tuple, GateSpec]
-) -> list[GateSpec]:
+def _pass_same_control_runs(gates: list[GateSpec]) -> list[GateSpec]:
     out: list[GateSpec] = []
     i = 0
     while i < len(gates):
         j = i
         while j < len(gates) and gates[j].control == gates[i].control:
             j += 1
-        merged = _merged_gate(gates[i:j], rotations)
+        merged = _merged_gate(gates[i:j])
         if merged is not None:
             out.append(merged)
         i = j
@@ -546,9 +541,7 @@ def _pass_same_control_runs(
 
 
 def _pass_commuting_runs(
-    gates: list[GateSpec],
-    rotations: dict[tuple, GateSpec],
-    commutes: dict[tuple[bytes, bytes], bool],
+    gates: list[GateSpec], commutes: dict[tuple[bytes, bytes], bool]
 ) -> list[GateSpec]:
     """Group same-control gates inside maximal pairwise-commuting runs.
 
@@ -580,7 +573,7 @@ def _pass_commuting_runs(
         for g in gates[i:j]:
             by_control.setdefault(g.control, []).append(g)
         for same in by_control.values():
-            merged = _merged_gate(same, rotations)
+            merged = _merged_gate(same)
             if merged is not None:
                 out.append(merged)
         i = j
@@ -602,17 +595,16 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     regrouping within runs whose actions all pairwise commute, where
     reordering is free.  Identity gates are dropped; phase multiples of
     the identity are kept because a controlled phase changes the word.
-    Within one call equal merged rotations are one shared gate, and each
-    pair of distinct actions is tested for commutation once.  The result
-    is verified against the input on every input.
+    Within one call each pair of distinct actions is tested for
+    commutation once.  The result is verified against the input on every
+    input.
     """
     gates = list(c.gates)
-    rotations: dict[tuple, GateSpec] = {}
     commutes: dict[tuple[bytes, bytes], bool] = {}
     while True:
         before = len(gates)
-        gates = _pass_same_control_runs(gates, rotations)
-        gates = _pass_commuting_runs(gates, rotations, commutes)
+        gates = _pass_same_control_runs(gates)
+        gates = _pass_commuting_runs(gates, commutes)
         if len(gates) >= before:
             break
     merged = LimitedSpaceCircuit(

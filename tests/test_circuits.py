@@ -50,6 +50,9 @@ def test_gate_spec_validation():
     for n in (2.0, True, "3"):
         with pytest.raises(ValueError):
             circuits.LimitedSpaceCircuit(n=n, gates=())
+    for note in (10**400, ["relative phase"], None):
+        with pytest.raises(ValueError, match="phase_convention must be a string"):
+            circuits.LimitedSpaceCircuit(n=1, gates=(), phase_convention=note)
     huge_entry = {"name": "matrix", "matrix": [[10**400, 0], [0, 0], [0, 0], [1, 0]], "label": "m"}
     for data in ([], {"n": 1, "gates": "xx"}, {"n": 1, "gates": [["x"]]},
                  {"n": 1, "gates": [huge_entry]}):
@@ -336,7 +339,7 @@ def test_merge_verifies_above_twelve_inputs(monkeypatch):
     assert circuits.merge_adjacent(c).n == 13
     commuting_runs = circuits._pass_commuting_runs
     monkeypatch.setattr(
-        circuits, "_pass_commuting_runs", lambda gates, *memos: commuting_runs(gates, *memos)[1:]
+        circuits, "_pass_commuting_runs", lambda gates, memo: commuting_runs(gates, memo)[1:]
     )
     with pytest.raises(RuntimeError, match="merge changed the circuit"):
         circuits.merge_adjacent(c)
@@ -420,16 +423,15 @@ def test_compile_qsp_shares_the_signal_block():
         assert len({id(g) for g in controlled}) == spec.n
 
 
-def test_merge_shares_equal_merged_rotations():
-    """Merged maj7 holds 57 rotation gates but 15 distinct records, each one
-    object; the JSON is the text of unshared gates."""
+def test_merged_majority_keeps_its_rotation_records():
+    """Merged maj7 holds 57 rotation gates but 15 distinct records; the JSON
+    is the text of unshared gates."""
     spec = boolfun.maj_spec(7)
     params, angles = qsp.synthesize(spec)
     merged = circuits.merge_adjacent(circuits.compile_qsp(spec, angles, params))
     rotations = [g for g in merged.gates if g.name in ("rx", "ry", "rz")]
     assert len(rotations) == 57
     assert len({(g.name, g.control, repr(g.angle)) for g in rotations}) == 15
-    assert len({id(g) for g in rotations}) == 15
     unshared = circuits.LimitedSpaceCircuit(
         n=merged.n,
         gates=tuple(circuits.GateSpec.from_json_dict(g.to_json_dict()) for g in merged.gates),
@@ -490,9 +492,9 @@ def _words_mask_per_gate(c):
     return out
 
 
-def _commuting_runs_all_pairs(gates, *memos):
+def _commuting_runs_all_pairs(gates, commutes):
     """The commuting-run pass that checked each candidate against every
-    member, each time, and built every merged gate anew."""
+    member, each time, without the commutator memo."""
     out = []
     i = 0
     while i < len(gates):
@@ -511,7 +513,7 @@ def _commuting_runs_all_pairs(gates, *memos):
         for g in gates[i:j]:
             by_control.setdefault(g.control, []).append(g)
         for run in by_control.values():
-            merged = circuits._merged_gate(run, {})
+            merged = circuits._merged_gate(run)
             if merged is not None:
                 out.append(merged)
         i = j

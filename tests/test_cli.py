@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from limspace import boolfun, classical, cli, qsp, simulate
-from limspace.circuits import LimitedSpaceCircuit
+from limspace.circuits import LimitedSpaceCircuit, slsb_relative
 
 
 def _run(capsys, argv):
@@ -214,13 +214,21 @@ def test_synth_json_payload(capsys):
     assert payload["circuit"]["n"] == 3
 
 
-def test_synth_impossible_tolerance_fails_verification(capsys):
-    code, out, err = _run(
-        capsys,
-        ["synth", "--fn", "slsb", "--n", "3", "--method", "direct", "--asp-tol=-1e-9"],
-    )
+def test_synth_exits_one_when_the_circuit_misses_the_function(capsys, monkeypatch):
+    """The circuit is still printed; the fixed 1e-9 ASP gate takes no option."""
+    broken = LimitedSpaceCircuit(n=3, gates=slsb_relative(3).gates[:-1])
+    asp = simulate.asp(broken, boolfun.slsb(3)).asp
+    assert asp < 1.0 - 1e-9
+    monkeypatch.setitem(cli._DIRECT, "slsb", lambda n: broken)
+    code, out, err = _run(capsys, ["synth", "--fn", "slsb", "--n", "3", "--method", "direct"])
     assert code == 1
-    assert "verification failed" in err
+    assert out.endswith(broken.to_json() + "\n")
+    assert err == f"verification failed: ASP {asp!r} below 1 - 1e-09\n"
+    for tol in ("--asp-tol=-1e-9", "--asp-tol=nan", "--asp-tol=inf"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", "--fn", "slsb", "--n", "3", tol])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --asp-tol" in capsys.readouterr().err
 
 
 def test_synth_round_trip_through_simulate(capsys, tmp_path):
@@ -400,8 +408,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         sim + ["--eps", "0.1", "--shots", "0"],
         sim + ["--shots", "100"],
         ["synth", "--method", "direct", "--fn", "slsb", "--n", "1"],
-        ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "nan"],
-        ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "inf"],
     ]
     for argv in cases:
         code, _, err = _run(capsys, argv)
@@ -439,6 +445,9 @@ def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
         {"n": 3, "gates": [{"name": "rx", "angle": 10**400}]},
         {"n": 3, "gates": [{"name": "matrix", "label": "m",
                             "matrix": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}]},
+        # A phase_convention that is not a string.
+        {"n": 3, "phase_convention": 10**400, "gates": []},
+        {"n": 3, "phase_convention": ["relative phase"], "gates": []},
     ]
     path = tmp_path / "broken.json"
     for text in ["{ not json", "[" * 200000] + [json.dumps(c) for c in malformed]:

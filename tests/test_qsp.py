@@ -464,7 +464,7 @@ def test_angle_finding_rejects_nonunitary_quadruples():
         qsp.TrigPolynomial("sin", [0.0]),
         qsp.TrigPolynomial("cos", [0.0]),
     )
-    with pytest.raises(qsp.AngleFindingError):
+    with pytest.raises(qsp.AngleFindingError, match="reconstruction error"):
         qsp.find_angles(quad)
 
 
