@@ -18,8 +18,9 @@ seeded non-symmetric tables at n = 7..10, uniform, sparse and
 near-affine; synth --format json for every symmetric profile with
 n <= 8; simulate of each
 written circuit with --eps/--shots/--seed, JSON and --out; direct
-synthesis at n = 4, 6, 12; crossover; usage and argparse errors, and
-simulate of malformed circuit files (a float or bool control, a text
+synthesis at n = 4, 6, 12; synth --out of slsb at n = 16 and maj at
+n = 15, and simulate --out of each with --eps/--shots/--seed;
+crossover; usage and argparse errors, and simulate of malformed circuit files (a float or bool control, a text
 angle, a float n, a text gate list, a phase_convention that is a huge
 integer or a list).  It takes a few minutes.
 
@@ -133,6 +134,14 @@ def corpus(workdir):
         target = ["--fn", fn, "--n", str(n)]
         synth = ["synth", "--method", "direct", *target]
         calls += _synth_and_simulate(workdir, f"direct_{fn}{n}", synth, target)
+    for fn, n in (("slsb", 16), ("maj", 15)):
+        target = ["--fn", fn, "--n", str(n)]
+        circuit = os.path.join(workdir, f"{fn}{n}.json")
+        calls += [
+            ["synth", *target, "--out", circuit],
+            ["simulate", "--circuit", circuit, *target, *NOISE,
+             "--out", os.path.join(workdir, f"{fn}{n}.csv")],
+        ]
     for family, eps in itertools.product(("ip", "slsb"), ("0.0", "0.1", "0.15", "0.25")):
         calls.append(["crossover", "--eps", eps, "--family", family])
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])

@@ -226,6 +226,7 @@ class LimitedSpaceCircuit:
     gates: tuple[GateSpec, ...]
     phase_convention: str = ""
     _words: np.ndarray | None = field(default=None, init=False, repr=False)
+    _weight_words: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n):
@@ -244,27 +245,37 @@ class LimitedSpaceCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def words(self) -> np.ndarray:
+    def words(self, by_weight: bool = False) -> np.ndarray:
         """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1).
 
-        Computed on the first call; every call returns that read-only,
-        C-contiguous array.  The work happens in one (2, 2, 2^n) buffer
-        with the input index innermost, so a controlled gate updates a
-        strided view of it (the inputs whose control bit is set) in place.
+        With by_weight, V(x) at the n+1 inputs x = 2^w - 1 instead, shape
+        (n+1, 2, 2): row w is the input whose bits 1..w are set, so a gate
+        with control c fires on the rows w >= c.  Row w is bitwise row
+        2^w - 1 of words(), and, for a circuit that weight_symmetric
+        certifies, bitwise V(x) at every input of weight w.
+
+        Each form is computed on its first call; every call returns that
+        read-only, C-contiguous array.  The work happens in one
+        (2, 2, inputs) buffer with the input index innermost, so a
+        controlled gate updates a view of it (the inputs whose control bit
+        is set) in place.
         """
-        if self._words is None:
-            w = np.zeros((2, 2, 1 << self.n), dtype=complex)
+        memo = "_weight_words" if by_weight else "_words"
+        if getattr(self, memo) is None:
+            w = np.zeros((2, 2, self.n + 1 if by_weight else 1 << self.n), dtype=complex)
             w[0, 0] = w[1, 1] = 1
             for g in self.gates:
                 v = w
-                if g.control is not None:
+                if g.control is not None and by_weight:
+                    v = w[:, :, g.control:]
+                elif g.control is not None:
                     # w is contiguous, so this reshape is a view: the
                     # write below must land in w, not in a copy.
                     v = w.reshape(2, 2, -1, 2, 1 << (g.control - 1))[:, :, :, 1]
                 v[...] = np.einsum("ij,jk...->ik...", g.action, v)
             words = np.ascontiguousarray(w.transpose(2, 0, 1))
-            object.__setattr__(self, "_words", _frozen(words))
-        return self._words
+            object.__setattr__(self, memo, _frozen(words))
+        return getattr(self, memo)
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,6 +355,33 @@ class LimitedSpaceCircuit:
 def entangling_count(c: LimitedSpaceCircuit) -> int:
     """Number of gates that carry a control."""
     return sum(1 for g in c.gates if g.control is not None)
+
+
+def weight_symmetric(c: LimitedSpaceCircuit) -> bool:
+    """Whether every input of one weight gets bitwise the same word.
+
+    The certificate: each maximal run of consecutive controlled gates
+    holds each control 1..n exactly once, and its actions are bitwise
+    equal.  Such a run applies its action w times in a row to every input
+    of weight w, whichever bits are set, so all those inputs go through
+    the same float operations and words() is constant within each
+    weight, bit for bit.  compile_qsp's signal blocks are such runs, and
+    merge_adjacent keeps them so.  The scan stops at the first run that
+    fails.
+    """
+    controls = set(range(1, c.n + 1))
+    run: list[GateSpec] = []
+    for g in (*c.gates, None):
+        if g is not None and g.control is not None:
+            run.append(g)
+            continue
+        if run:
+            action = run[0].action.tobytes()
+            if (len(run) != c.n or {h.control for h in run} != controls
+                    or any(h.action.tobytes() != action for h in run)):
+                return False
+            run = []
+    return True
 
 
 _HX_FIG = _NAMED["x"] @ _NAMED["h"]
@@ -596,8 +634,10 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     reordering is free.  Identity gates are dropped; phase multiples of
     the identity are kept because a controlled phase changes the word.
     Within one call each pair of distinct actions is tested for
-    commutation once.  The result is verified against the input on every
-    input.
+    commutation once.  The result is verified against the input: on the
+    n+1 inputs 2^w - 1 when weight_symmetric certifies both circuits,
+    which then covers every input bit for bit, and on all 2^n inputs
+    otherwise.
     """
     gates = list(c.gates)
     commutes: dict[tuple[bytes, bytes], bool] = {}
@@ -610,7 +650,8 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     merged = LimitedSpaceCircuit(
         n=c.n, gates=tuple(gates), phase_convention=c.phase_convention
     )
-    defect = np.max(np.abs(merged.words() - c.words()))
+    by_weight = weight_symmetric(c) and weight_symmetric(merged)
+    defect = np.max(np.abs(merged.words(by_weight) - c.words(by_weight)))
     if defect > 1e-10:
         raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
     return merged

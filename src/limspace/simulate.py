@@ -1,6 +1,8 @@
 """Exact simulation, classification, noise analysis, and certificates.
 
-Evaluation multiplies out the 2x2 words V(x) for every input.  The ASP
+Evaluation multiplies out the 2x2 words V(x) for every input, or only
+for one input per weight when circuits.weight_symmetric certifies that
+the words depend on the weight alone, bit for bit.  The ASP
 of a circuit against a target function is the mean over inputs of the
 probability of measuring f(x).  A toy noise model lets each entangling
 gate fail independently; any failure scrambles the output bit, which
@@ -23,7 +25,7 @@ from .boolfun import (
     affine_test,
     classical_upper_bound,
 )
-from .circuits import LimitedSpaceCircuit, entangling_count
+from .circuits import LimitedSpaceCircuit, entangling_count, weight_symmetric
 from .qsp import _I2, _X, _frozen
 
 _IX = _frozen(1j * _X)
@@ -58,11 +60,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Words, one-probabilities, mean success, and the phase class."""
+    """One-probabilities, mean success, and the phase class."""
 
     n: int
     truth: np.ndarray
-    words: np.ndarray
     p_one: np.ndarray
     asp: float
     classification: Classification
@@ -85,27 +86,47 @@ class SimulationResult:
             fh.write(self.to_csv())
 
 
+def _words_by_row(c: LimitedSpaceCircuit):
+    """c's words, and the map from input indices to the row that is V(x).
+
+    The rows are the n+1 weights, and the map the popcount, when
+    weight_symmetric certifies c; otherwise they are the 2^n inputs.
+    """
+    if weight_symmetric(c):
+        return c.words(by_weight=True), np.bitwise_count
+    return c.words(), lambda x: x
+
+
 def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
-    """Exhaustive success probability and implementation class."""
+    """Exhaustive success probability and implementation class.
+
+    On a circuit that weight_symmetric certifies, the words are computed
+    at one input per weight and p_one is spread over the inputs by their
+    weight; the ASP is still the mean over all 2^n inputs, the same float
+    as from every word.  The class compares each weight's word with the
+    target of each truth value f takes at that weight, which gives the
+    same extremes as comparing every input's word with its own target.
+    """
     if c.n != f.n:
         raise ValueError(f"circuit has n={c.n} but function has n={f.n}")
-    words = c.words()
-    p_one = np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0)
-    truth = f.truth.astype(int)
-    success = np.where(truth == 1, p_one, 1.0 - p_one)
-    targets = np.where(truth[:, None, None] == 1, _IX, _I2)
-    if np.max(np.abs(words - targets)) <= _CLASSIFY_TOL:
+    words, to_row = _words_by_row(c)
+    row = to_row(np.arange(1 << c.n, dtype=np.uint32))
+    truth = f.truth
+    # takes[r, t]: some input whose word is row r has f = t.
+    takes = np.bincount(2 * row + truth, minlength=2 * len(words)).reshape(-1, 2) > 0
+    p_one = np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0)[row]
+    success = 1.0 - p_one
+    np.copyto(success, p_one, where=truth == 1)
+    far = np.stack([np.abs(words - target).max(axis=(1, 2)) for target in (_I2, _IX)], axis=1)
+    if np.max(far[takes]) <= _CLASSIFY_TOL:
         kind = Classification.TRUE_IMPL
+    elif np.min(np.abs(words[:, :, 0])[takes]) >= 1.0 - _CLASSIFY_TOL:
+        kind = Classification.RELATIVE_PHASE
     else:
-        amps = np.abs(words[np.arange(truth.size), truth, 0])
-        if np.min(amps) >= 1.0 - _CLASSIFY_TOL:
-            kind = Classification.RELATIVE_PHASE
-        else:
-            kind = Classification.APPROXIMATE
+        kind = Classification.APPROXIMATE
     return SimulationResult(
         n=c.n,
         truth=truth,
-        words=words,
         p_one=p_one,
         asp=float(np.mean(success)),
         classification=kind,
@@ -140,6 +161,8 @@ def noisy_asp_mc(
     from one generator in chunks of _SHOT_CHUNK, so memory is bounded
     whatever the count.  Seeded estimates differ from those of the
     earlier one-coin-per-gate draw, which had the same distribution.
+    On a circuit that weight_symmetric certifies, p_one is computed once
+    per weight and read through the drawn input's weight.
     """
     NoiseModel(epsilon)
     if c.n != f.n:
@@ -147,14 +170,15 @@ def noisy_asp_mc(
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
-    p_one = np.abs(c.words()[:, 1, 0]) ** 2
+    words, to_row = _words_by_row(c)
+    p_one = np.abs(words[:, 1, 0]) ** 2
     p_clean = (1.0 - epsilon) ** entangling_count(c)
     hits = 0
     for start in range(0, shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, shots - start)
         xs = rng.integers(0, 1 << c.n, size=size)
         clean = rng.random(size) < p_clean
-        clean_bit = rng.random(size) < p_one[xs]
+        clean_bit = rng.random(size) < p_one[to_row(xs)]
         coin_bit = rng.integers(0, 2, size=size).astype(bool)
         outcome = np.where(clean, clean_bit, coin_bit)
         hits += int(np.count_nonzero(outcome == (f.truth[xs] == 1)))

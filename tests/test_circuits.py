@@ -464,9 +464,16 @@ def test_words_are_computed_once_and_read_only():
     assert words is c.words()
     assert words.shape == (16, 2, 2)
     assert words.flags.c_contiguous
-    assert simulate.asp(c, boolfun.slsb(4)).words is words
-    with pytest.raises(ValueError):
-        words[0, 0, 0] = 2.0
+    simulate.asp(c, boolfun.slsb(4))
+    assert c.words() is words
+    reps = c.words(by_weight=True)
+    assert reps is c.words(by_weight=True)
+    assert reps.shape == (5, 2, 2)
+    assert reps.flags.c_contiguous
+    assert reps.tobytes() == words[[0, 1, 3, 7, 15]].tobytes()
+    for computed in (words, reps):
+        with pytest.raises(ValueError):
+            computed[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         circuits.GateSpec.named("h").action[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -632,3 +639,157 @@ def test_merge_matches_the_all_pairs_commuting_pass(raw_and_merged, monkeypatch)
     for raw, got in raw_and_merged:
         want = circuits.merge_adjacent(raw)
         assert [_gate_bits(g) for g in got.gates] == [_gate_bits(g) for g in want.gates]
+
+
+def _asp_from_words(words, truth):
+    """(ASP, class) as simulate.asp computed them from every input's word."""
+    p_one = np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0)
+    truth = truth.astype(int)
+    success = np.where(truth == 1, p_one, 1.0 - p_one)
+    targets = np.where(truth[:, None, None] == 1, _IX, np.eye(2))
+    if np.max(np.abs(words - targets)) <= 1e-8:
+        kind = simulate.Classification.TRUE_IMPL
+    elif np.min(np.abs(words[np.arange(truth.size), truth, 0])) >= 1.0 - 1e-8:
+        kind = simulate.Classification.RELATIVE_PHASE
+    else:
+        kind = simulate.Classification.APPROXIMATE
+    return float(np.mean(success)), kind
+
+
+def _referee_weight_path(c, f, monkeypatch):
+    """A certified circuit's weight-class results against its 2^n words."""
+    assert circuits.weight_symmetric(c)
+    words = c.words()
+    reps = c.words(by_weight=True)
+    assert reps.tobytes() == words[(1 << np.arange(c.n + 1)) - 1].tobytes()
+    weight = np.bitwise_count(np.arange(1 << c.n))
+    assert words.tobytes() == reps[weight].tobytes()
+    got = simulate.asp(c, f)
+    want_asp, want_kind = _asp_from_words(words, f.truth)
+    assert repr(got.asp) == repr(want_asp)
+    assert got.classification is want_kind
+    assert got.to_csv() == _csv_from_words(c.n, f.truth, words)
+    mc = simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "weight_symmetric", lambda c: False)
+        assert simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n) == mc
+
+
+def _seeded_spec(n, seed):
+    return boolfun.SymmetricSpec(n, tuple(int(v) for v in np.random.default_rng(seed).integers(0, 2, n + 1)))
+
+
+def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch):
+    """Every certified circuit of raw_and_merged, against the function it
+    computes and against a seeded table that splits weight classes."""
+    rng = np.random.default_rng(1311)
+    certified = [c for pair in raw_and_merged for c in pair if circuits.weight_symmetric(c)]
+    assert len(certified) == len(raw_and_merged) * 2 - 6
+    kinds = set()
+    for c in certified:
+        computed = boolfun.BooleanFunction(c.n, np.abs(c.words()[:, 1, 0]) ** 2 > 0.5)
+        split = boolfun.BooleanFunction(c.n, rng.integers(0, 2, 1 << c.n))
+        for f in (computed, split):
+            _referee_weight_path(c, f, monkeypatch)
+            kinds.add(simulate.asp(c, f).classification)
+    assert kinds == set(simulate.Classification)
+
+
+def test_weight_classes_referee_up_to_arity_16(monkeypatch):
+    """slsb at n = 16, maj at n = 15 and seeded profiles at n = 9..14, raw
+    and merged, against their 2^n words."""
+    specs = [boolfun.slsb_spec(16), boolfun.maj_spec(15)]
+    specs += [_seeded_spec(n, 900 + n) for n in range(9, 15)]
+    assert {spec.by_weight[0] for spec in specs} == {0, 1}
+    for spec in specs:
+        params, xi = qsp.synthesize(spec)
+        raw = circuits.compile_qsp(spec, xi, params)
+        f = boolfun.make_symmetric(spec)
+        for c in (raw, circuits.merge_adjacent(raw)):
+            _referee_weight_path(c, f, monkeypatch)
+
+
+def test_weight_words_match_the_angle_reconstruction():
+    """The compiled word at weight w is U(phi_w) from qsp.reconstruct, times
+    X when f(0) = 1, for slsb and a seeded profile at every n = 9..24."""
+    specs = [boolfun.slsb_spec(n) for n in range(9, 25)]
+    specs += [_seeded_spec(n, 2400 + n) for n in range(9, 25)]
+    assert {spec.by_weight[0] for spec in specs} == {0, 1}
+    for spec in specs:
+        params, xi = qsp.synthesize(spec)
+        want = qsp.reconstruct(xi, params.phi(np.arange(spec.n + 1)))
+        if spec.by_weight[0] == 1:
+            want = circuits._NAMED["x"] @ want
+        raw = circuits.compile_qsp(spec, xi, params)
+        for c in (raw, circuits.merge_adjacent(raw)):
+            assert circuits.weight_symmetric(c)
+            assert np.max(np.abs(c.words(by_weight=True) - want)) <= 1e-12, spec
+
+
+def _computed_on(c):
+    """Which words c has computed: all inputs, one per weight."""
+    return c._words is not None, c._weight_words is not None
+
+
+def test_uncertified_circuits_take_every_input():
+    fixed = [circuits.builtin_slsb3_fig1()]
+    for n in range(2, 9):
+        fixed += [circuits.slsb_true(n), circuits.slsb_relative(n)]
+    fixed += [circuits.ip_circuit(n) for n in (2, 4, 6, 8)]
+    assert not any(circuits.weight_symmetric(c) for c in fixed)
+
+    spec = boolfun.slsb_spec(5)
+    params, xi = qsp.synthesize(spec)
+    gates = list(circuits.compile_qsp(spec, xi, params).gates)
+    first = next(i for i, g in enumerate(gates) if g.control == 1)
+    g = gates[first + 1]
+    assert g.control == 2
+    nudged = g.action.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 2.0) + 1j * nudged[0, 0].imag
+    assert np.abs(nudged - g.action).max() > 0
+    broken = {
+        "repeated control": circuits.GateSpec.rotation("x", g.angle, control=3),
+        "1 ulp": circuits.GateSpec.from_matrix(nudged, "rx-ulp", control=2),
+    }
+    f = boolfun.slsb(5)
+    for why, gate in broken.items():
+        c = circuits.LimitedSpaceCircuit(5, tuple(gates[:first + 1] + [gate] + gates[first + 2:]))
+        assert not circuits.weight_symmetric(c), why
+        merged = circuits.merge_adjacent(c)
+        assert _computed_on(c) == (True, False), why
+        got = simulate.asp(merged, f)
+        assert _computed_on(merged) == (True, False), why
+        want_asp, want_kind = _asp_from_words(merged.words(), f.truth)
+        assert repr(got.asp) == repr(want_asp), why
+        assert got.classification is want_kind, why
+
+
+def test_broken_merge_of_a_certified_circuit_still_raises(monkeypatch):
+    """A pass that drops the last uncontrolled gate once keeps the
+    certificate, so the check runs on the weight classes, and fails."""
+    spec = boolfun.slsb_spec(6)
+    raw = circuits.compile_qsp(spec, *reversed(qsp.synthesize(spec)))
+    same_control_runs = circuits._pass_same_control_runs
+    dropped = []
+
+    def broken(gates):
+        out = same_control_runs(gates)
+        if not dropped and out[-1].control is None:
+            dropped.append(out.pop())
+        return out
+
+    checked = []
+    words = circuits.LimitedSpaceCircuit.words
+
+    def spy(self, by_weight=False):
+        checked.append((self, by_weight))
+        return words(self, by_weight)
+
+    monkeypatch.setattr(circuits, "_pass_same_control_runs", broken)
+    monkeypatch.setattr(circuits.LimitedSpaceCircuit, "words", spy)
+    with pytest.raises(RuntimeError, match="merge changed the circuit, defect"):
+        circuits.merge_adjacent(raw)
+    assert dropped
+    assert [by_weight for _, by_weight in checked] == [True, True]
+    merged = checked[0][0]
+    assert merged is not raw and circuits.weight_symmetric(merged)

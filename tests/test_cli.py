@@ -513,3 +513,27 @@ def test_console_script(capsys, monkeypatch):
         proc = subprocess.run(["limspace", *argv], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == want
+
+
+def test_synth_is_total_at_large_arity(capsys, tmp_path, monkeypatch):
+    """slsb at n = 24, maj at n = 23 and two seeded tables at n = 19 and 22
+    synthesize, merge, verify and exit 0, without the words of all 2^n
+    inputs."""
+    words = LimitedSpaceCircuit.words
+
+    def by_weight_only(self, by_weight=False):
+        assert by_weight, "words of all 2^n inputs"
+        return words(self, by_weight)
+
+    monkeypatch.setattr(LimitedSpaceCircuit, "words", by_weight_only)
+    targets = [["--fn", "slsb", "--n", "24"], ["--fn", "maj", "--n", "23"]]
+    for n, seed in ((19, 1919), (22, 2222)):
+        values = tuple(int(v) for v in np.random.default_rng(seed).integers(0, 2, n + 1))
+        f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
+        targets.append(["--table", f.to_hex(), "--n", str(n)])
+    out_file = str(tmp_path / "c.json")
+    for target in targets:
+        code, out, err = _run(capsys, ["synth", *target, "--out", out_file])
+        assert (code, err) == (0, ""), target[:2]
+        asp_line = out.splitlines()[2]
+        assert float(asp_line.removeprefix("ASP = ")) >= 1.0 - 1e-9, target[:2]
