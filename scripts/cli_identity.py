@@ -16,7 +16,8 @@ The corpus: classical, bounds and synth (text, JSON, --out) for every
 named family at n = 3..7; classical and bounds (text and JSON) on
 seeded non-symmetric tables at n = 7..10, uniform, sparse and
 near-affine; synth --format json for every symmetric profile with
-n <= 8; simulate of each
+n <= 8, for a seeded sample of 12 profiles at each of n = 9 and 10, and
+for slsb at n = 9 and 10; simulate of each
 written circuit with --eps/--shots/--seed, JSON and --out; direct
 synthesis at n = 4, 6, 12; synth --out of slsb at n = 16 and maj at
 n = 15, and simulate --out of each with --eps/--shots/--seed;
@@ -48,6 +49,8 @@ FAMILIES = ("slsb", "maj", "ip", "parity", "const0", "const1")
 NOISE = ["--eps", "0.1", "--shots", "500", "--seed", "7"]
 TABLE_SEED = 20241018
 TABLES_PER_KIND = 40
+PROFILE_SEED = 20261020
+PROFILES_PER_ARITY = 12
 
 
 def _tables():
@@ -79,6 +82,18 @@ def _tables():
                 if not np.array_equal(f.truth, f.truth[first]):
                     out.append((n, f.to_hex()))
                     made += 1
+    return out
+
+
+def _sampled_profiles():
+    """PROFILES_PER_ARITY seeded symmetric profiles at each of n = 9 and
+    10, as (n, hex) pairs; f(0) = 1 included."""
+    rng = np.random.default_rng(PROFILE_SEED)
+    out = []
+    for n in (9, 10):
+        for _ in range(PROFILES_PER_ARITY):
+            values = tuple(int(v) for v in rng.integers(0, 2, n + 1))
+            out.append((n, boolfun.make_symmetric(boolfun.SymmetricSpec(n, values)).to_hex()))
     return out
 
 
@@ -130,6 +145,10 @@ def corpus(workdir):
         for values in itertools.product((0, 1), repeat=n + 1):
             f = boolfun.make_symmetric(boolfun.SymmetricSpec(n, values))
             calls.append(["synth", "--table", f.to_hex(), "--n", str(n), "--format", "json"])
+    for n, table in _sampled_profiles():
+        calls.append(["synth", "--table", table, "--n", str(n), "--format", "json"])
+    for n in (9, 10):
+        calls.append(["synth", "--fn", "slsb", "--n", str(n), "--format", "json"])
     for fn, n in itertools.product(("slsb", "ip"), (4, 6, 12)):
         target = ["--fn", fn, "--n", str(n)]
         synth = ["synth", "--method", "direct", *target]

@@ -214,6 +214,37 @@ def _format_angle(theta: float) -> str:
     return f"{sign}{head}" if den == 1 else f"{sign}{head}/{den}"
 
 
+_ENCODE = json.JSONEncoder().encode
+
+# One gate record as json.dumps(..., indent=2) lays it out in a circuit's
+# gate list: the record at depth 2, its keys at depth 3 and, for a matrix
+# gate, each [re, im] pair at depth 4 with its numbers at depth 5.
+_GATE_TEMPLATE = (
+    '{{\n      "control": {},\n      "name": {},\n      "angle": {},\n'
+    '      "matrix": {},\n      "label": {}\n    }}'
+)
+_PAIR_TEMPLATE = "[\n          {},\n          {}\n        ]"
+
+
+def _gate_text(g: GateSpec) -> str:
+    """g.to_json_dict() as json.dumps(..., indent=2) writes it in a circuit.
+
+    The control, the angle and the matrix numbers go through one encoder
+    call; none of their texts holds ", ", so splitting on it separates them.
+    """
+    record = g.to_json_dict()
+    values = [record["control"], record["angle"]]
+    values += [x for pair in record["matrix"] or () for x in pair]
+    control, angle, *entries = _ENCODE(values)[1:-1].split(", ")
+    matrix = "null"
+    if entries:
+        pairs = (_PAIR_TEMPLATE.format(*entries[i : i + 2]) for i in range(0, len(entries), 2))
+        matrix = "[\n        " + ",\n        ".join(pairs) + "\n      ]"
+    return _GATE_TEMPLATE.format(
+        control, _ENCODE(record["name"]), angle, matrix, _ENCODE(record["label"])
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class LimitedSpaceCircuit:
     """An ordered gate list over n input bits plus the one work qubit.
@@ -227,6 +258,7 @@ class LimitedSpaceCircuit:
     phase_convention: str = ""
     _words: np.ndarray | None = field(default=None, init=False, repr=False)
     _weight_words: np.ndarray | None = field(default=None, init=False, repr=False)
+    _weight_symmetric: bool | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n):
@@ -287,19 +319,21 @@ class LimitedSpaceCircuit:
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2).
 
-        Each distinct gate object is encoded once, indented to its depth in
-        the list, and its text is repeated at every position it holds.
+        Each distinct gate object is written once, by _gate_text, and its
+        text is repeated at every position it holds.  The layout (keys,
+        newlines, indents and separators) is fixed, so only the values
+        vary; each is encoded by json's C encoder, whose text for a str,
+        int, float or None is the indenting encoder's.  The key order is
+        to_json_dict's.
         """
         texts: dict[int, str] = {}
         for g in self.gates:
             if id(g) not in texts:
-                texts[id(g)] = json.dumps(g.to_json_dict(), indent=2).replace("\n", "\n    ")
+                texts[id(g)] = _gate_text(g)
         items = ",\n    ".join(texts[id(g)] for g in self.gates)
-        head = json.dumps(
-            {"n": self.n, "phase_convention": self.phase_convention, "gates": []}, indent=2
-        )
-        # head ends in '[]\n}'; the gate list goes between the brackets.
-        return head[:-3] + (f"\n    {items}\n  " if items else "") + "]\n}"
+        head = (f'{{\n  "n": {_ENCODE(self.n)},\n'
+                f'  "phase_convention": {_ENCODE(self.phase_convention)},\n  "gates": [')
+        return head + (f"\n    {items}\n  " if items else "") + "]\n}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LimitedSpaceCircuit":
@@ -366,9 +400,17 @@ def weight_symmetric(c: LimitedSpaceCircuit) -> bool:
     of weight w, whichever bits are set, so all those inputs go through
     the same float operations and words() is constant within each
     weight, bit for bit.  compile_qsp's signal blocks are such runs, and
-    merge_adjacent keeps them so.  The scan stops at the first run that
-    fails.
+    merge_adjacent keeps them so.  The verdict is computed by one scan on
+    the first call and kept on the circuit, whose gates never change.
     """
+    if c._weight_symmetric is None:
+        object.__setattr__(c, "_weight_symmetric", _scan_weight_runs(c))
+    return c._weight_symmetric
+
+
+def _scan_weight_runs(c: LimitedSpaceCircuit) -> bool:
+    """weight_symmetric's certificate, scanned afresh; it stops at the
+    first run that fails."""
     controls = set(range(1, c.n + 1))
     run: list[GateSpec] = []
     for g in (*c.gates, None):

@@ -142,7 +142,8 @@ def test_circuit_word_and_words_agree():
 
 def _round_trip_inputs():
     """The hand fixture, merged QSP circuits on both schedules, every hand
-    construction, a gate-free circuit and a non-ASCII phase convention."""
+    construction, a gate-free circuit, a non-ASCII phase convention, and a
+    loaded circuit with the values a fixed layout could encode wrongly."""
     fixture = circuits.LimitedSpaceCircuit(
         n=3,
         gates=(
@@ -166,7 +167,16 @@ def _round_trip_inputs():
         n=1, gates=(circuits.GateSpec.rotation("y", 0.5, control=1),),
         phase_convention="fase relativa; V(x) = U(φ·|x|) − Δ",
     )
-    return [fixture, *merged, *hand, empty, accented]
+    tricky = {"n": 2, "phase_convention": "tab\there", "gates": [
+        {"control": None, "name": "rx", "angle": 2, "matrix": None,
+         "label": 'quote " backslash \\ bell \x07 φ 𝜑'},
+        {"control": 2, "name": "matrix", "angle": None,
+         "matrix": [[1.0, -0.0], [1e-300, 0.0], [-0.0, 1e-300], [1.0, 0.0]],
+         "label": "\x00\n\u2028"},
+    ]}
+    loaded = circuits.LimitedSpaceCircuit.from_json(json.dumps(tricky))
+    assert loaded.to_json_dict() == tricky
+    return [fixture, *merged, *hand, empty, accented, loaded]
 
 
 def test_json_round_trip_is_bit_exact():
@@ -793,3 +803,29 @@ def test_broken_merge_of_a_certified_circuit_still_raises(monkeypatch):
     assert [by_weight for _, by_weight in checked] == [True, True]
     merged = checked[0][0]
     assert merged is not raw and circuits.weight_symmetric(merged)
+
+
+def test_weight_symmetric_scans_each_circuit_once(monkeypatch):
+    """merge_adjacent scans the raw and the merged circuit; asp and
+    noisy_asp_mc read the merged one's verdict.  A circuit fresh from
+    from_json is scanned once for its own verdict."""
+    scanned = []
+    scan = circuits._scan_weight_runs
+    monkeypatch.setattr(circuits, "_scan_weight_runs", lambda c: scanned.append(c) or scan(c))
+    spec = boolfun.slsb_spec(5)
+    f = boolfun.make_symmetric(spec)
+    params, xi = qsp.synthesize(spec)
+    raw = circuits.compile_qsp(spec, xi, params)
+    merged = circuits.merge_adjacent(raw)
+    simulate.asp(merged, f)
+    simulate.noisy_asp_mc(merged, f, 0.1, 100, seed=5)
+    assert [id(c) for c in scanned] == [id(raw), id(merged)]
+
+    loaded = circuits.LimitedSpaceCircuit.from_json(merged.to_json())
+    uncertified = circuits.LimitedSpaceCircuit.from_json(circuits.slsb_true(5).to_json())
+    for c in (loaded, uncertified):
+        simulate.asp(c, f)
+        simulate.noisy_asp_mc(c, f, 0.1, 100, seed=5)
+    assert [id(c) for c in scanned[2:]] == [id(loaded), id(uncertified)]
+    assert circuits.weight_symmetric(loaded) and not circuits.weight_symmetric(uncertified)
+    assert len(scanned) == 4

@@ -269,7 +269,7 @@ _ANGLE_DIGEST = """
 import hashlib, itertools
 from limspace import boolfun, qsp
 h = hashlib.sha256()
-for n in range(1, 7):
+for n in range(1, 8):
     for tail in itertools.product((0, 1), repeat=n):
         h.update(qsp.synthesize(boolfun.SymmetricSpec(n, (0, *tail)))[1].xi.tobytes())
 print(h.hexdigest())
@@ -278,7 +278,7 @@ print(h.hexdigest())
 
 def test_synthesis_does_not_depend_on_the_blas_thread_count():
     """One sha256 over the angle bytes of every profile with f(0) = 0 and
-    n <= 6, under one and under two BLAS threads."""
+    n <= 7, under one and under two BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsp.__file__)))
     procs = [
         subprocess.Popen(
@@ -565,7 +565,8 @@ def test_general_pipeline_end_to_end():
 
 def _full_width_angles(quad):
     """The degree reduction over all 2L + 1 coefficient rows at every step,
-    as find_angles ran before it formed only the surviving band."""
+    each product stacked over the 2x2 coefficients, as find_angles ran
+    before it formed only the surviving band as one flat product."""
     L = quad.L
     coeffs = np.zeros((2 * L + 1, 2, 2), dtype=complex)
     parts = (
@@ -595,8 +596,10 @@ def _full_width_angles(quad):
 
 
 def test_banded_reduction_is_bitwise_the_full_width_loop():
-    specs = [boolfun.maj_spec(n) for n in (3, 5, 7)]
-    for n in range(1, 7):
+    """Every profile with f(0) = 0 up to n = 7, whose widest bands start
+    at L = 33, and majority up to n = 9 (L = 19)."""
+    specs = [boolfun.maj_spec(n) for n in (3, 5, 7, 9)]
+    for n in range(1, 8):
         specs += [boolfun.SymmetricSpec(n, (0, *t)) for t in itertools.product((0, 1), repeat=n)]
     for spec in specs:
         _, quad = _solved_quadruple(spec)
