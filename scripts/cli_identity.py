@@ -20,10 +20,13 @@ n <= 8, for a seeded sample of 12 profiles at each of n = 9 and 10, and
 for slsb at n = 9 and 10; simulate of each
 written circuit with --eps/--shots/--seed, JSON and --out; direct
 synthesis at n = 4, 6, 12; synth --out of slsb at n = 16 and maj at
-n = 15, and simulate --out of each with --eps/--shots/--seed;
-crossover; usage and argparse errors, and simulate of malformed circuit files (a float or bool control, a text
-angle, a float n, a text gate list, a phase_convention that is a huge
-integer or a list).  It takes a few minutes.
+n = 15, and simulate --out of each with --eps/--shots/--seed; simulate
+without noise (text, JSON, --out) of the direct slsb and ip circuits at
+n = 12, slsb at n = 13 and ip at n = 14, and of a seeded random-angle
+circuit at n = 10 whose p_one values are all distinct; crossover;
+usage and argparse errors, and simulate of malformed circuit files (a
+float or bool control, a text angle, a float n, a text gate list, a
+phase_convention that is a huge integer or a list).  It takes a few minutes.
 
 The corpus still runs `synth --asp-tol`, an option `synth` no longer
 has: against a checkout that has it, those lines show the removal (exit
@@ -51,6 +54,7 @@ TABLE_SEED = 20241018
 TABLES_PER_KIND = 40
 PROFILE_SEED = 20261020
 PROFILES_PER_ARITY = 12
+ANGLE_SEED = 20261021
 
 
 def _tables():
@@ -103,6 +107,19 @@ def _circuit_text(n=3, gates=None, phase_convention=""):
     return json.dumps({"n": n, "phase_convention": phase_convention, "gates": gates})
 
 
+def _random_angle_circuit(n=10, size=100):
+    """A seeded circuit text of rx/ry/rz gates at uniform angles, each
+    uncontrolled or on a uniform control, whose p_one values are all
+    distinct."""
+    rng = np.random.default_rng(ANGLE_SEED)
+    gates = []
+    for _ in range(size):
+        control = int(rng.integers(0, n + 1)) or None
+        angle = float(rng.uniform(-7, 7))
+        gates.append({"name": "r" + "xyz"[rng.integers(3)], "control": control, "angle": angle})
+    return _circuit_text(n=n, gates=gates)
+
+
 # Circuit files that simulate must refuse as a bad circuit file.
 MALFORMED = {
     "control_float": _circuit_text(gates=[{"name": "x", "control": 1.5}]),
@@ -137,7 +154,8 @@ def corpus(workdir):
         for command in ("classical", "bounds"):
             calls += [[command, *target], [command, *target, "--format", "json"]]
         calls += _synth_and_simulate(workdir, f"{fn}{n}", ["synth", *target], target)
-    for n, table in _tables():
+    tables = _tables()
+    for n, table in tables:
         target = ["--table", table, "--n", str(n)]
         for command in ("classical", "bounds"):
             calls += [[command, *target], [command, *target, "--format", "json"]]
@@ -161,11 +179,29 @@ def corpus(workdir):
             ["simulate", "--circuit", circuit, *target, *NOISE,
              "--out", os.path.join(workdir, f"{fn}{n}.csv")],
         ]
+    for fn, n in (("slsb", 12), ("ip", 12), ("slsb", 13), ("ip", 14)):
+        target = ["--fn", fn, "--n", str(n)]
+        circuit = os.path.join(workdir, f"plain_{fn}{n}.json")
+        simulate = ["simulate", "--circuit", circuit, *target]
+        calls += [
+            ["synth", "--method", "direct", *target, "--out", circuit],
+            simulate,
+            simulate + ["--format", "json"],
+            simulate + ["--out", os.path.join(workdir, f"plain_{fn}{n}.csv")],
+        ]
+    angles = os.path.join(workdir, "random_angles10.json")
+    files = {angles: _random_angle_circuit()}
+    simulate = ["simulate", "--circuit", angles, "--table", tables[-1][1], "--n", "10"]
+    calls += [
+        simulate,
+        simulate + ["--format", "json"],
+        simulate + ["--out", os.path.join(workdir, "random_angles10.csv")],
+    ]
     for family, eps in itertools.product(("ip", "slsb"), ("0.0", "0.1", "0.15", "0.25")):
         calls.append(["crossover", "--eps", eps, "--family", family])
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])
     broken = os.path.join(workdir, "broken.json")
-    files = {broken: "{ not json"}
+    files[broken] = "{ not json"
     maj3 = ["simulate", "--circuit", os.path.join(workdir, "maj3.json"), "--fn", "maj", "--n", "3"]
     calls += [
         ["classical", "--fn", "maj"],

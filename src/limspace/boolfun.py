@@ -99,10 +99,21 @@ class SymmetricSpec:
             raise ValueError("by_weight entries must be 0 or 1")
 
 
+def input_weights(n: int) -> np.ndarray:
+    """The Hamming weight of every input index 0..2^n - 1, as uint8.
+
+    Built by doubling: the inputs with bit j set are those below 2^j,
+    one weight higher.
+    """
+    weights = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):
+        np.add(weights[: 1 << j], 1, out=weights[1 << j : 2 << j])
+    return weights
+
+
 def make_symmetric(spec: SymmetricSpec) -> BooleanFunction:
     """Truth table of the symmetric function with the given weight profile."""
-    weights = np.bitwise_count(np.arange(1 << spec.n, dtype=np.uint32))
-    table = np.asarray(spec.by_weight, dtype=np.uint8)[weights]
+    table = np.asarray(spec.by_weight, dtype=np.uint8)[input_weights(spec.n)]
     return BooleanFunction(spec.n, table)
 
 
@@ -110,10 +121,13 @@ def weight_profile(f: BooleanFunction) -> SymmetricSpec | None:
     """The weight profile of f if f is symmetric, else None.
 
     Reads f(w) at input 2^w - 1, the first input of weight w, and keeps
-    the profile only if make_symmetric rebuilds f from it.
+    the profile only if spreading it over the inputs by weight gives
+    f's table.
     """
-    spec = SymmetricSpec(f.n, tuple(f.truth[(1 << np.arange(f.n + 1)) - 1].tolist()))
-    return spec if make_symmetric(spec) == f else None
+    by_weight = f.truth[(1 << np.arange(f.n + 1)) - 1]
+    if not np.array_equal(by_weight[input_weights(f.n)], f.truth):
+        return None
+    return SymmetricSpec(f.n, tuple(by_weight.tolist()))
 
 
 def slsb(n: int) -> BooleanFunction:

@@ -24,6 +24,7 @@ from .boolfun import (
     BooleanFunction,
     affine_test,
     classical_upper_bound,
+    input_weights,
 )
 from .circuits import LimitedSpaceCircuit, entangling_count, weight_symmetric
 from .qsp import _I2, _X, _frozen
@@ -72,29 +73,64 @@ class SimulationResult:
         """Header input_bits,f,target,p_one; one row per input.
 
         Columns: bit string x_1..x_n, f(x), f(x) as the ideal
-        probability of measuring 1, and the simulated one.
+        probability of measuring 1, and the simulated one (repr of the
+        float).  The text is the join of _csv_blocks; every row ends in
+        a newline.
         """
-        rows = ["input_bits,f,target,p_one"]
-        for idx in range(1 << self.n):
-            bits = "".join(str((idx >> k) & 1) for k in range(self.n))
-            fx = int(self.truth[idx])
-            rows.append(f"{bits},{fx},{float(fx)!r},{float(self.p_one[idx])!r}")
-        return "\n".join(rows) + "\n"
+        return "".join(self._csv_blocks())
 
     def save_csv(self, path) -> None:
+        """Write to_csv's text one block at a time, so the memory held
+        does not grow with 2^n."""
         with open(path, "w") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._csv_blocks())
+
+    def _csv_blocks(self):
+        """The header, then the rows in blocks of 2^k consecutive inputs.
+
+        k = min(n, _CSV_BLOCK_BITS).  A block's bit strings are the
+        table of its low k bits (x_1 first), built once, each followed
+        by the block's high bits as one suffix.  The f,target text is
+        formatted once per distinct truth value of the block and the
+        p_one text once per distinct float, told apart by bit pattern so
+        that -0.0 and each NaN keep their own repr.  The bytes are those
+        of formatting each row on its own.
+        """
+        yield "input_bits,f,target,p_one\n"
+        k = min(self.n, _CSV_BLOCK_BITS)
+        low = [""]
+        for _ in range(k):
+            low = [s + "0" for s in low] + [s + "1" for s in low]
+        low = np.array(low, dtype=object)
+        size = 1 << k
+        for high in range(1 << (self.n - k)):
+            block = slice(high * size, (high + 1) * size)
+            suffix = "".join(str((high >> j) & 1) for j in range(self.n - k))
+            values, value_at = np.unique(self.truth[block], return_inverse=True)
+            f_text = np.array([f",{int(v)},{float(int(v))!r}," for v in values.tolist()],
+                              dtype=object)
+            p_bits = np.ascontiguousarray(self.p_one[block], dtype=np.float64).view(np.uint64)
+            p_values, p_at = np.unique(p_bits, return_inverse=True)
+            p_text = np.array([f"{p!r}\n" for p in p_values.view(np.float64).tolist()],
+                              dtype=object)
+            rows = low + suffix
+            rows += f_text[value_at]
+            rows += p_text[p_at]
+            yield "".join(rows.tolist())
+
+
+# SimulationResult writes its CSV in blocks of at most 2^12 inputs.
+_CSV_BLOCK_BITS = 12
 
 
 def _words_by_row(c: LimitedSpaceCircuit):
-    """c's words, and the map from input indices to the row that is V(x).
+    """c's words, and whether their rows are weights rather than inputs.
 
-    The rows are the n+1 weights, and the map the popcount, when
+    The rows are the n+1 weights, so input x reads row |x|, when
     weight_symmetric certifies c; otherwise they are the 2^n inputs.
     """
-    if weight_symmetric(c):
-        return c.words(by_weight=True), np.bitwise_count
-    return c.words(), lambda x: x
+    weighted = weight_symmetric(c)
+    return c.words(by_weight=weighted), weighted
 
 
 def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
@@ -109,8 +145,8 @@ def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     """
     if c.n != f.n:
         raise ValueError(f"circuit has n={c.n} but function has n={f.n}")
-    words, to_row = _words_by_row(c)
-    row = to_row(np.arange(1 << c.n, dtype=np.uint32))
+    words, weighted = _words_by_row(c)
+    row = input_weights(c.n) if weighted else np.arange(1 << c.n, dtype=np.uint32)
     truth = f.truth
     # takes[r, t]: some input whose word is row r has f = t.
     takes = np.bincount(2 * row + truth, minlength=2 * len(words)).reshape(-1, 2) > 0
@@ -170,7 +206,7 @@ def noisy_asp_mc(
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
-    words, to_row = _words_by_row(c)
+    words, weighted = _words_by_row(c)
     p_one = np.abs(words[:, 1, 0]) ** 2
     p_clean = (1.0 - epsilon) ** entangling_count(c)
     hits = 0
@@ -178,7 +214,7 @@ def noisy_asp_mc(
         size = min(_SHOT_CHUNK, shots - start)
         xs = rng.integers(0, 1 << c.n, size=size)
         clean = rng.random(size) < p_clean
-        clean_bit = rng.random(size) < p_one[to_row(xs)]
+        clean_bit = rng.random(size) < p_one[np.bitwise_count(xs) if weighted else xs]
         coin_bit = rng.integers(0, 2, size=size).astype(bool)
         outcome = np.where(clean, clean_bit, coin_bit)
         hits += int(np.count_nonzero(outcome == (f.truth[xs] == 1)))

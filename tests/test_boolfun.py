@@ -73,6 +73,13 @@ def test_symmetric_constructions_are_symmetric():
     assert boolfun.weight_profile(boolfun.ip(4)) is None
 
 
+def test_input_weights_are_the_popcount():
+    for n in range(17):
+        weights = boolfun.input_weights(n)
+        assert weights.dtype == np.uint8
+        assert np.array_equal(weights, np.bitwise_count(np.arange(1 << n)))
+
+
 @functools.cache
 def _weight_masks(n):
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
@@ -90,7 +97,7 @@ def _weight_profile_loop(f):
 
 def _weight_profile_cases():
     """Every table with n <= 3; for n = 4..12 every symmetric table and a
-    seeded one-bit flip of each."""
+    seeded one-bit flip of each; seeded uniform tables at n = 4..12."""
     for n in range(1, 4):
         for t in range(1 << (1 << n)):
             yield boolfun.BooleanFunction(n, [(t >> i) & 1 for i in range(1 << n)])
@@ -102,6 +109,9 @@ def _weight_profile_cases():
             flipped[rng.integers(0, 1 << n)] ^= 1
             yield f
             yield boolfun.BooleanFunction(n, flipped)
+    for n in range(4, 13):
+        for _ in range(20):
+            yield boolfun.BooleanFunction(n, rng.integers(0, 2, 1 << n))
 
 
 def test_weight_profile_matches_the_weight_loop():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -617,9 +618,8 @@ def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged, wide_circuit
         assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
 
 
-def _csv_from_words(n, truth, words):
-    """The simulate CSV, row by row, from words computed elsewhere."""
-    p_one = np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0)
+def _csv_rows(n, truth, p_one):
+    """The simulate CSV, formatted one row at a time."""
     rows = ["input_bits,f,target,p_one"]
     for idx in range(1 << n):
         bits = "".join(str((idx >> k) & 1) for k in range(n))
@@ -628,7 +628,19 @@ def _csv_from_words(n, truth, words):
     return "\n".join(rows) + "\n"
 
 
-def test_wide_simulate_csv_matches_the_mask_per_gate_kernel(wide_circuits):
+def _csv_from_words(n, truth, words):
+    """The simulate CSV, row by row, from words computed elsewhere."""
+    return _csv_rows(n, truth, np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0))
+
+
+def _assert_csv_bytes(result, reference, path):
+    """to_csv and save_csv both give the reference text's bytes."""
+    assert result.to_csv() == reference
+    result.save_csv(path)
+    assert path.read_bytes() == reference.encode()
+
+
+def test_wide_simulate_csv_matches_the_mask_per_gate_kernel(wide_circuits, tmp_path):
     true14, ip14 = wide_circuits
     idx = np.arange(1 << 14)
     inner = boolfun.ip(14).truth
@@ -636,12 +648,62 @@ def test_wide_simulate_csv_matches_the_mask_per_gate_kernel(wide_circuits):
     cases = (
         (true14, boolfun.slsb(14)),
         (ip14, boolfun.BooleanFunction(14, inner[relabeled])),
+        (circuits.slsb_relative(13), boolfun.slsb(13)),
     )
     for c, f in cases:
         result = simulate.asp(c, f)
         assert result.asp == pytest.approx(1.0, abs=1e-12)
-        reference = _csv_from_words(14, f.truth, _words_mask_per_gate(c))
-        assert result.to_csv() == reference
+        reference = _csv_from_words(c.n, f.truth, _words_mask_per_gate(c))
+        _assert_csv_bytes(result, reference, tmp_path / "rows.csv")
+
+
+def test_csv_blocks_match_the_row_loop_on_random_circuits(tmp_path):
+    """Rotations at seeded angles give p_one many distinct values; n = 1..10
+    lies below one CSV block."""
+    rng = np.random.default_rng(1409)
+    for n in range(1, 11):
+        c = _random_circuit(rng, n, size=10 * n)
+        f = boolfun.BooleanFunction(n, rng.integers(0, 2, 1 << n))
+        result = simulate.asp(c, f)
+        if n >= 9:
+            assert np.unique(result.p_one).size == 1 << n
+        reference = _csv_from_words(n, f.truth, _words_mask_per_gate(c))
+        _assert_csv_bytes(result, reference, tmp_path / f"rows{n}.csv")
+
+
+_SPECIAL_P_ONE = (
+    -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1 + 0.2, 0.3, 1.0, 0.0,
+    np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64),
+    np.array(0xFFF8000000000000, dtype=np.uint64).view(np.float64),
+)
+
+
+def test_csv_blocks_match_the_row_loop_on_special_floats(tmp_path):
+    """Hand-built results whose p_one holds signed zeros, NaN payloads,
+    infinities and the smallest subnormal, within one block and across
+    two blocks of 2^12 inputs."""
+    rng = np.random.default_rng(1423)
+    specials = np.array(_SPECIAL_P_ONE, dtype=np.float64)
+    for n in (4, 13):
+        p_one = specials[rng.integers(0, specials.size, 1 << n)]
+        p_one[: specials.size] = specials
+        truth = rng.integers(0, 2, 1 << n).astype(np.uint8)
+        result = simulate.SimulationResult(
+            n, truth, p_one, 0.5, simulate.Classification.APPROXIMATE
+        )
+        _assert_csv_bytes(result, _csv_rows(n, truth, p_one), tmp_path / f"rows{n}.csv")
+
+
+def test_save_csv_memory_does_not_grow_with_the_table(tmp_path):
+    result = simulate.asp(circuits.slsb_true(18), boolfun.slsb(18))
+    tracemalloc.start()
+    try:
+        result.save_csv(tmp_path / "rows.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert (tmp_path / "rows.csv").stat().st_size > 24 * (1 << 18)
 
 
 def test_merge_matches_the_all_pairs_commuting_pass(raw_and_merged, monkeypatch):
@@ -666,7 +728,7 @@ def _asp_from_words(words, truth):
     return float(np.mean(success)), kind
 
 
-def _referee_weight_path(c, f, monkeypatch):
+def _referee_weight_path(c, f, monkeypatch, path):
     """A certified circuit's weight-class results against its 2^n words."""
     assert circuits.weight_symmetric(c)
     words = c.words()
@@ -678,7 +740,7 @@ def _referee_weight_path(c, f, monkeypatch):
     want_asp, want_kind = _asp_from_words(words, f.truth)
     assert repr(got.asp) == repr(want_asp)
     assert got.classification is want_kind
-    assert got.to_csv() == _csv_from_words(c.n, f.truth, words)
+    _assert_csv_bytes(got, _csv_from_words(c.n, f.truth, words), path)
     mc = simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n)
     with monkeypatch.context() as m:
         m.setattr(simulate, "weight_symmetric", lambda c: False)
@@ -689,7 +751,7 @@ def _seeded_spec(n, seed):
     return boolfun.SymmetricSpec(n, tuple(int(v) for v in np.random.default_rng(seed).integers(0, 2, n + 1)))
 
 
-def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch):
+def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch, tmp_path):
     """Every certified circuit of raw_and_merged, against the function it
     computes and against a seeded table that splits weight classes."""
     rng = np.random.default_rng(1311)
@@ -700,12 +762,12 @@ def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch):
         computed = boolfun.BooleanFunction(c.n, np.abs(c.words()[:, 1, 0]) ** 2 > 0.5)
         split = boolfun.BooleanFunction(c.n, rng.integers(0, 2, 1 << c.n))
         for f in (computed, split):
-            _referee_weight_path(c, f, monkeypatch)
+            _referee_weight_path(c, f, monkeypatch, tmp_path / "rows.csv")
             kinds.add(simulate.asp(c, f).classification)
     assert kinds == set(simulate.Classification)
 
 
-def test_weight_classes_referee_up_to_arity_16(monkeypatch):
+def test_weight_classes_referee_up_to_arity_16(monkeypatch, tmp_path):
     """slsb at n = 16, maj at n = 15 and seeded profiles at n = 9..14, raw
     and merged, against their 2^n words."""
     specs = [boolfun.slsb_spec(16), boolfun.maj_spec(15)]
@@ -716,7 +778,7 @@ def test_weight_classes_referee_up_to_arity_16(monkeypatch):
         raw = circuits.compile_qsp(spec, xi, params)
         f = boolfun.make_symmetric(spec)
         for c in (raw, circuits.merge_adjacent(raw)):
-            _referee_weight_path(c, f, monkeypatch)
+            _referee_weight_path(c, f, monkeypatch, tmp_path / "rows.csv")
 
 
 def test_weight_words_match_the_angle_reconstruction():
