@@ -15,10 +15,12 @@ circuit without changing any V(x).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,12 +62,21 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
+    if type(value) is float:
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _check_control(control) -> None:
+    if control is not None and not _is_int(control):
+        raise ValueError(f"control must be an integer, got {control!r}")
+    if control is not None and control < 1:
+        raise ValueError("control index is 1-based")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +97,7 @@ class GateSpec:
     def __post_init__(self) -> None:
         if self.name not in _GATE_NAMES:
             raise ValueError(f"unknown gate name {self.name!r}")
-        if self.control is not None and not _is_int(self.control):
-            raise ValueError(f"control must be an integer, got {self.control!r}")
-        if self.control is not None and self.control < 1:
-            raise ValueError("control index is 1-based")
+        _check_control(self.control)
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
         if self.name in _ROTATIONS:
@@ -138,6 +146,21 @@ class GateSpec:
         """The gate's 2x2 unitary, built once and read-only."""
         return self._action
 
+    def with_control(self, control: int | None) -> "GateSpec":
+        """This gate under another control, sharing its action and label.
+
+        Only the control is validated: the rest was validated when this
+        gate was built, and the action does not depend on the control.
+        """
+        _check_control(control)
+        # Set field by field, in __init__'s order: copy.copy would read
+        # __dict__, which leaves both gates with slower attribute reads.
+        gate = object.__new__(type(self))
+        for name in _GATE_FIELDS:
+            object.__setattr__(gate, name, getattr(self, name))
+        object.__setattr__(gate, "control", control)
+        return gate
+
     @classmethod
     def rotation(cls, axis: str, angle: float, control: int | None = None) -> "GateSpec":
         return cls(name=f"r{axis}", control=control, angle=float(angle))
@@ -182,6 +205,9 @@ class GateSpec:
         )
 
 
+_GATE_FIELDS = tuple(f.name for f in fields(GateSpec))
+
+
 def _format_angle(theta: float) -> str:
     """Render an angle as a multiple of pi when it is a simple one.
 
@@ -193,10 +219,23 @@ def _format_angle(theta: float) -> str:
     theta/pi exceeds 1/240, the least gap between two such fractions, so
     there several of them pass the 1e-12 test and only the closest is the
     multiple.
+
+    Most angles are no such multiple, and one test rejects them before
+    the scan: every num/den with den <= 16 is a multiple of 1/720720
+    (720720 = lcm(1..16)), so when part * 720720 lies more than 1e-3
+    from an integer, every candidate lies at least 1e-3 / 720720 =
+    1.39e-9 from part.  Below |theta/pi| = 2^20 the float num/den lies
+    within 1.2e-10 of its value, and the product within 1e-10 of its
+    own, so the scan's closest candidate misses theta/pi by more than
+    1e-12 and the rule above gives repr(theta) too.
     """
     ratio = theta / math.pi
     whole = math.floor(ratio)
     part = ratio - whole
+    if abs(ratio) < 2.0**20:
+        scaled = part * 720720
+        if abs(scaled - round(scaled)) > 1e-3:
+            return repr(theta)
     gap = 2.0
     for d in range(1, 17):
         n = round(part * d)
@@ -341,8 +380,10 @@ class LimitedSpaceCircuit:
 
         A record's key is the repr of its name, control and angle plus its
         label, so true, 1 and 1.0 (or -0.0 and 0.0) stay distinct and every
-        distinct record is validated.  Records with a matrix or a non-string
-        label are parsed one by one.
+        distinct record is validated.  Records that differ in their control
+        alone share one action: the first is built in full and the others
+        are its with_control copies, which validate their control.  Records
+        with a matrix or a non-string label are parsed one by one.
         """
         if not isinstance(data, dict):
             raise ValueError("circuit must be a JSON object")
@@ -350,16 +391,21 @@ class LimitedSpaceCircuit:
         if not isinstance(records, list) or not all(isinstance(g, dict) for g in records):
             raise ValueError("gates must be a list of objects")
         shared: dict[tuple, GateSpec] = {}
+        by_action: dict[tuple, GateSpec] = {}
         gates = []
         for record in records:
             label = record.get("label", "")
             if record.get("matrix") is not None or not isinstance(label, str):
                 gates.append(GateSpec.from_json_dict(record))
                 continue
-            key = (repr(record["name"]), repr(record.get("control")),
-                   repr(record.get("angle")), label)
+            control = record.get("control")
+            key = (repr(record["name"]), repr(control), repr(record.get("angle")), label)
             if key not in shared:
-                shared[key] = GateSpec.from_json_dict(record)
+                action_key = key[0], key[2], label
+                if action_key in by_action:
+                    shared[key] = by_action[action_key].with_control(control)
+                else:
+                    shared[key] = by_action[action_key] = GateSpec.from_json_dict(record)
             gates.append(shared[key])
         return cls(
             n=data["n"],
@@ -418,9 +464,14 @@ def _scan_weight_runs(c: LimitedSpaceCircuit) -> bool:
             run.append(g)
             continue
         if run:
-            action = run[0].action.tobytes()
+            # Members often share one action object (compile_qsp's signal
+            # block, from_json's records that differ in their control
+            # alone), so identity is tried before the bytes.
+            action = run[0].action
+            data = action.tobytes()
             if (len(run) != c.n or {h.control for h in run} != controls
-                    or any(h.action.tobytes() != action for h in run)):
+                    or any(h.action is not action and h.action.tobytes() != data
+                           for h in run)):
                 return False
             run = []
     return True
@@ -556,8 +607,9 @@ def compile_qsp(
     if xi.L != params.L:
         raise ValueError(f"angle sequence has L={xi.L} but params expect L={params.L}")
     # Every layer holds the same signal block, so its gates are built once
-    # and each object sits at L positions.
-    block = [GateSpec.rotation("x", params.step, control=k) for k in range(1, f.n + 1)]
+    # and each object sits at L positions; the block's gates share one action.
+    signal = GateSpec.rotation("x", params.step, control=1)
+    block = [signal] + [signal.with_control(k) for k in range(2, f.n + 1)]
     if params.offset != 0.0:
         block.append(GateSpec.rotation("x", -params.offset))
     gates = []
@@ -606,17 +658,26 @@ def _merged_gate(run: list[GateSpec]) -> GateSpec | None:
     return GateSpec.from_matrix(action, label, control=control)
 
 
+def _collapse_into(out: list[GateSpec], run: list[GateSpec]) -> None:
+    """Append run's merged gate to out, if it is not the identity.
+
+    A one-gate run other than a matrix gate passes straight through,
+    as _merged_gate would return it; a lone matrix gate still goes there
+    for its identity check.
+    """
+    if len(run) == 1 and run[0].name != "matrix":
+        out.append(run[0])
+        return
+    merged = _merged_gate(run)
+    if merged is not None:
+        out.append(merged)
+
+
 def _pass_same_control_runs(gates: list[GateSpec]) -> list[GateSpec]:
+    """Collapse each maximal run of consecutive gates with one control."""
     out: list[GateSpec] = []
-    i = 0
-    while i < len(gates):
-        j = i
-        while j < len(gates) and gates[j].control == gates[i].control:
-            j += 1
-        merged = _merged_gate(gates[i:j])
-        if merged is not None:
-            out.append(merged)
-        i = j
+    for _, run in itertools.groupby(gates, key=attrgetter("control")):
+        _collapse_into(out, list(run))
     return out
 
 
@@ -630,7 +691,8 @@ def _pass_commuting_runs(
     its commutator is its twin's up to sign, whose norm was already
     checked.  Keying the run by action bytes also checks a new action
     once per distinct member, and commutes keeps each decision, keyed by
-    the two actions' bytes, for the later passes.
+    the two actions' bytes, for the later passes.  Each control's group
+    goes through _collapse_into.
     """
     out: list[GateSpec] = []
     i = 0
@@ -653,9 +715,7 @@ def _pass_commuting_runs(
         for g in gates[i:j]:
             by_control.setdefault(g.control, []).append(g)
         for same in by_control.values():
-            merged = _merged_gate(same)
-            if merged is not None:
-                out.append(merged)
+            _collapse_into(out, same)
         i = j
     return out
 
@@ -676,10 +736,13 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     reordering is free.  Identity gates are dropped; phase multiples of
     the identity are kept because a controlled phase changes the word.
     Within one call each pair of distinct actions is tested for
-    commutation once.  The result is verified against the input: on the
-    n+1 inputs 2^w - 1 when weight_symmetric certifies both circuits,
-    which then covers every input bit for bit, and on all 2^n inputs
-    otherwise.
+    commutation once.  A gate alone in its run (other than a matrix
+    gate) passes through as the same object, so compile_qsp's signal
+    block keeps its one shared action, and weight_symmetric's scan of
+    the merged circuit compares it by identity.  The result is verified
+    against the input: on the n+1 inputs 2^w - 1 when weight_symmetric
+    certifies both circuits, which then covers every input bit for bit,
+    and on all 2^n inputs otherwise.
     """
     gates = list(c.gates)
     commutes: dict[tuple[bytes, bytes], bool] = {}

@@ -5,7 +5,9 @@ verification gate fails (synthesis residuals, or a synthesized circuit
 whose ASP is below 1 - 1e-9), 2 on usage or IO problems.  Usage
 problems include an --eps outside [0, 1) (NaN included), --shots below
 1 or without --eps, and direct synthesis at an arity its construction
-lacks (slsb at n = 1).  The one random draw, the Monte Carlo estimate
+lacks (slsb at n = 1).  A reader that closes stdout early
+(`limspace simulate ... | head -1`) is an IO problem: exit 2, without
+a traceback.  The one random draw, the Monte Carlo estimate
 of `simulate --shots`, is seeded by --seed (default 20240614), which only
 `simulate` accepts.  Output depends only on the command line.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -306,6 +309,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull.
+
+    The reader closed the pipe, so what is still buffered cannot be
+    delivered; without this the interpreter's final flush would fail
+    again and print "Exception ignored".
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 # Built on first use: in-process callers run main many times per process.
 _parser: argparse.ArgumentParser | None = None
 
@@ -316,7 +335,12 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     cfg = _parser.parse_args(argv)
     try:
-        return cfg.handler(cfg)
+        code = cfg.handler(cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 2
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

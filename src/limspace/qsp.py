@@ -24,6 +24,7 @@ interpolates again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import pi
 
@@ -365,24 +366,21 @@ def _spectral_factor(r: np.ndarray, phis) -> np.ndarray:
     multiplying out clustered zeros costs digits.  P / |K|^2 = |F|^2 by one
     FFT cepstrum (log, causal fold, exp), F zero-free in the disk; G is
     F K reversed.
+
+    K's samples and |K|^2's coefficients depend only on the schedule (the
+    interior cosines and the vanishing ends), not on the profile, so they
+    come from _known_factor, which keeps them per schedule.
     """
     m = r.size // 2
     x = np.unique(np.cos(phis))
     inner = x[np.abs(x) < 1.0 - _TARGET_TOL]
     inner = inner[np.diff(inner, prepend=-1.0) > _TARGET_TOL]
-    ends = [e for e in (1.0, -1.0) if abs(r @ e ** np.arange(r.size)) <= _POSITIVITY_SLACK]
+    ends = tuple(e for e in (1.0, -1.0) if abs(r @ e ** np.arange(r.size)) <= _POSITIVITY_SLACK)
     known = 2 * inner.size + len(ends)
     if known > m:
         raise CompletionError(f"P has degree {m} but {known} known zeros")
-
-    # Samples on the upper half circle; K drops its factor z^inner.size, a shift of G.
-    n = _CEPSTRUM_POINTS
-    half = _CEPSTRUM_PHI.size
-    k = np.prod(_CEPSTRUM_COS - inner[:, None], axis=0).astype(complex)
-    for e in ends:
-        k *= (1.0 - e * _CEPSTRUM_Z) / np.sqrt(2.0)
-    q = np.fft.rfft(np.abs(np.concatenate([k, k[-2:0:-1]])) ** 2).real / n
-    q = q[np.abs(np.arange(-known, known + 1))]
+    k, q = _known_factor(inner.tobytes(), ends)
+    n, half = _CEPSTRUM_POINTS, _CEPSTRUM_PHI.size
 
     # Divide from the top; the symmetric quotient needs its powers d..0 only.
     d = m - known
@@ -402,6 +400,27 @@ def _spectral_factor(r: np.ndarray, phis) -> np.ndarray:
     f = np.sqrt(quotient[:half]) * np.exp(1j * angle)
     g = np.fft.irfft(np.conj(f * k), n=n)
     return np.roll(g, inner.size)[m::-1]
+
+
+# One entry holds K's 4097 complex samples (64 KB) and |K|^2's 2 known + 1
+# coefficients, about 66 KB; 32 entries cap the cache near 2 MB.  Every
+# class with n = 5..7 needs 6 entries, and every class with n <= 10 needs 18.
+@functools.lru_cache(maxsize=32)
+def _known_factor(inner: bytes, ends: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """K on the upper half of the cepstrum circle, and |K|^2's
+    z-coefficients over powers -known..known, both read-only.
+
+    inner holds the distinct interior cosines' float64 bytes, ends the
+    points of z = 1 and z = -1 where P vanishes, in that order.  Samples
+    on the upper half circle; K drops its factor z^inner.size, a shift of G.
+    """
+    x = np.frombuffer(inner)
+    k = np.prod(_CEPSTRUM_COS - x[:, None], axis=0).astype(complex)
+    for e in ends:
+        k *= (1.0 - e * _CEPSTRUM_Z) / np.sqrt(2.0)
+    known = 2 * x.size + len(ends)
+    q = np.fft.rfft(np.abs(np.concatenate([k, k[-2:0:-1]])) ** 2).real / _CEPSTRUM_POINTS
+    return _frozen(k), _frozen(q[np.abs(np.arange(-known, known + 1))])
 
 
 def _split_cd(g: np.ndarray) -> tuple[TrigPolynomial, TrigPolynomial]:
@@ -493,6 +512,16 @@ def _laurent_matrix(q: QspQuadruple) -> tuple[np.ndarray, int]:
     return coeffs, L
 
 
+@functools.cache
+def _check_phis() -> np.ndarray:
+    """find_angles' 100 seeded check angles, read-only.
+
+    Drawn on the first call rather than at import, so that importing the
+    package does not load numpy.random.
+    """
+    return _frozen(np.random.default_rng(20240614).uniform(-2 * pi, 2 * pi, size=100))
+
+
 def find_angles(q: QspQuadruple) -> AngleSequence:
     """Factor the quadruple into z-rotation angles by degree reduction.
 
@@ -508,7 +537,8 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     full-width stacked loop), at a fraction of the dispatch cost.  The
     result is verified by reconstruction at 100 seeded signal angles, to
     1e-6 in the spectral norm; that check is the one verdict on the peeled
-    angles.
+    angles.  The 100 angles are drawn once, on the first call (see
+    _check_phis).
 
     A leading coefficient below 1e-9 is refused before reconstruction: it
     means the quadruple's degree is below L, and the reconstruction check
@@ -539,8 +569,7 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
         coeffs = band
     xi[0] = 2.0 * float(np.angle(coeffs[1, 1]))
 
-    phis = np.random.default_rng(20240614).uniform(-2 * pi, 2 * pi, size=100)
-    worst = float(_reconstruction_error(xi, q, phis).max())
+    worst = float(_reconstruction_error(xi, q, _check_phis()).max())
     if worst > 1e-6:
         raise AngleFindingError(f"reconstruction error {worst:.3e} exceeds 1e-6")
     return AngleSequence(xi)

@@ -105,6 +105,32 @@ def _label_angles():
     for _ in range(2000):
         ratio = rng.randrange(2**44, 2**52) + rng.randrange(128) / 128
         yield rng.choice((1, -1)) * ratio * math.pi
+    # _format_angle rejects early below |theta/pi| = 2^20 when part * 720720
+    # lies more than 1e-3 from an integer: angles on both sides of that
+    # bound, and fractional parts on both sides of that margin.
+    for whole in (2**20 - 1, 2**20, 2**20 + 1, 2**19, 2**21):
+        for d in range(1, 17):
+            for k in range(d + 1):
+                for sign in (1, -1):
+                    ratio = sign * (whole + k / d)
+                    for r in (ratio, math.nextafter(ratio, 0.0), math.nextafter(ratio, math.inf)):
+                        yield r * math.pi
+                        yield math.nextafter(r * math.pi, math.inf)
+    # Above 2^20 the float num/den may round onto theta/pi although part
+    # lies farther than 1e-3 / 720720 from every fraction: such angles
+    # must reach the scan.
+    for e in range(20, 46):
+        for d in range(3, 17):
+            for k in range(1, d):
+                yield (2**e + k / d) * math.pi
+    margin = 1e-3 / 720720
+    steps = [720720 // d * k for d in range(1, 17) for k in range(d)]
+    steps += [rng.randrange(720720) for _ in range(200)]
+    for step in steps:
+        whole = rng.randrange(-2**20, 2**20)
+        for off in (0.0, 1e-13, 0.999 * margin, margin, 1.001 * margin, 2 * margin):
+            for sign in (1, -1):
+                yield (whole + step / 720720 + sign * off) * math.pi
 
 
 def test_format_angle_matches_the_fraction_rule():
@@ -891,3 +917,103 @@ def test_weight_symmetric_scans_each_circuit_once(monkeypatch):
     assert [id(c) for c in scanned[2:]] == [id(loaded), id(uncertified)]
     assert circuits.weight_symmetric(loaded) and not circuits.weight_symmetric(uncertified)
     assert len(scanned) == 4
+
+
+def _scan_by_bytes(c):
+    """weight_symmetric's certificate with every member's action bytes
+    compared, shared objects included."""
+    controls = set(range(1, c.n + 1))
+    run = []
+    for g in (*c.gates, None):
+        if g is not None and g.control is not None:
+            run.append(g)
+            continue
+        if run:
+            action = run[0].action.tobytes()
+            if (len(run) != c.n or {h.control for h in run} != controls
+                    or any(h.action.tobytes() != action for h in run)):
+                return False
+            run = []
+    return True
+
+
+def test_weight_scan_matches_the_bytes_only_scan(raw_and_merged):
+    """On every circuit of raw_and_merged and its from_json copy, and on
+    runs whose equal actions are shared, equal but distinct, or one ulp
+    apart."""
+    for pair in raw_and_merged:
+        for c in pair:
+            loaded = circuits.LimitedSpaceCircuit.from_json(c.to_json())
+            assert circuits._scan_weight_runs(c) == _scan_by_bytes(c)
+            assert circuits._scan_weight_runs(loaded) == _scan_by_bytes(c)
+    shared = circuits.GateSpec.rotation("x", 0.5, control=1)
+    runs = {
+        True: [(shared, shared.with_control(2)),
+               (shared, circuits.GateSpec.rotation("x", 0.5, control=2))],
+        False: [(shared, circuits.GateSpec.rotation("x", math.nextafter(0.5, 1), control=2)),
+                (shared, shared.with_control(1))],
+    }
+    for verdict, cases in runs.items():
+        for gates in cases:
+            c = circuits.LimitedSpaceCircuit(n=2, gates=gates)
+            assert circuits._scan_weight_runs(c) is verdict is _scan_by_bytes(c)
+
+
+def test_with_control_is_the_constructed_gate_sharing_its_action():
+    g = circuits.GateSpec.rotation("x", 0.3, control=1)
+    for control in (None, 2, 7):
+        h = g.with_control(control)
+        fresh = circuits.GateSpec.rotation("x", 0.3, control=control)
+        assert h.action is g.action and g.control == 1
+        assert _gate_bits(h) == _gate_bits(fresh) and repr(h) == repr(fresh)
+        assert h.action.tobytes() == fresh.action.tobytes()
+    for bad in (True, 1.0, 0, -1, "1"):
+        with pytest.raises(ValueError) as want:
+            circuits.GateSpec(name="rx", angle=0.3, control=bad)
+        with pytest.raises(ValueError) as got:
+            g.with_control(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_from_json_shares_one_action_per_record_up_to_its_control():
+    spec = boolfun.SymmetricSpec(6, (0, 1, 1, 0, 1, 0, 0))
+    params, xi = qsp.synthesize(spec)
+    raw = circuits.compile_qsp(spec, xi, params)
+    block = [g for g in raw.gates[:8] if g.control is not None]
+    assert len(block) == 6 and len({id(g.action) for g in block}) == 1
+    loaded = circuits.LimitedSpaceCircuit.from_json(raw.to_json())
+    assert [_gate_bits(g) for g in loaded.gates] == [_gate_bits(g) for g in raw.gates]
+    by_record: dict = {}
+    for g in loaded.gates:
+        by_record.setdefault((g.name, repr(g.angle), g.label), set()).add(id(g.action))
+    assert all(len(ids) == 1 for ids in by_record.values())
+    assert loaded.to_json() == raw.to_json()
+    first = {"name": "rx", "control": 1, "angle": 0.5}
+    for bad in (True, 1.0, 0, "1"):
+        with pytest.raises(ValueError) as want:
+            circuits.GateSpec.from_json_dict({**first, "control": bad})
+        with pytest.raises(ValueError) as got:
+            circuits.LimitedSpaceCircuit.from_json_dict(
+                {"n": 2, "gates": [first, {**first, "control": bad}]}
+            )
+        assert str(got.value) == str(want.value)
+
+
+def _collapse_by_merged_gate(out, run):
+    merged = circuits._merged_gate(run)
+    if merged is not None:
+        out.append(merged)
+
+
+def test_merge_fast_path_is_the_merged_gate_rule(raw_and_merged, monkeypatch):
+    """Passing lone gates straight through merges as _merged_gate on every
+    run does, gate for gate; a lone identity matrix gate is still dropped."""
+    raws = [raw for raw, _ in raw_and_merged]
+    with monkeypatch.context() as m:
+        m.setattr(circuits, "_collapse_into", _collapse_by_merged_gate)
+        want = [circuits.merge_adjacent(raw) for raw in raws]
+    for (_, got), ref in zip(raw_and_merged, want):
+        assert [_gate_bits(g) for g in got.gates] == [_gate_bits(g) for g in ref.gates]
+    identity = circuits.GateSpec.from_matrix(np.eye(2), "id", control=1)
+    c = circuits.LimitedSpaceCircuit(n=2, gates=(identity, circuits.GateSpec.named("h", control=2)))
+    assert [g.name for g in circuits.merge_adjacent(c).gates] == ["h"]

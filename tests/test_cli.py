@@ -496,6 +496,38 @@ def test_classical_and_bounds_leave_scipy_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """Import does no set-up work: synthesis draws its check angles on
+    first use, so numpy.random is not loaded by the import."""
+    code = "import sys, limspace.cli\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_closed_stdout_exits_two_without_a_traceback(tmp_path):
+    """A reader that closes the pipe after one line of simulate's table."""
+    circuit = str(tmp_path / "ip14.json")
+    assert cli.main(["synth", "--method", "direct", "--fn", "ip", "--n", "14",
+                     "--out", circuit]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "limspace", "simulate", "--circuit", circuit,
+         "--fn", "ip", "--n", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.stdout.readline() == "input_bits,f,target,p_one\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_console_script(capsys, monkeypatch):
     """The `limspace` entry that pyproject.toml declares, called in-process as
     the installed script calls it, and the installed script when on PATH."""

@@ -439,6 +439,60 @@ def test_laurent_and_cd_split_are_bitwise_the_loop_forms():
     assert len(parities) == 62 and set(parities) == {0, 1}
 
 
+def _factor_or_message(r, phis):
+    try:
+        return qsp._spectral_factor(r, phis).tobytes()
+    except qsp.CompletionError as exc:
+        return str(exc)
+
+
+def test_known_factor_cache_is_bitwise_the_cold_computation(monkeypatch):
+    """Every degree synthesize tries at n <= 7, the refused ones included:
+    _spectral_factor gives the same bytes, or raises the same message,
+    with the known-factor cache cleared before each call and with it warm
+    from every earlier call."""
+    calls = []
+    factor = qsp._spectral_factor
+
+    def record(r, phis):
+        calls.append((r.copy(), np.array(phis)))
+        return factor(r, phis)
+
+    monkeypatch.setattr(qsp, "_spectral_factor", record)
+    for n in range(1, 8):
+        for spec in _profiles(n):
+            qsp.synthesize(spec)
+    monkeypatch.undo()
+    cold = []
+    for r, phis in calls:
+        qsp._known_factor.cache_clear()
+        cold.append(_factor_or_message(r, phis))
+    qsp._known_factor.cache_clear()
+    warm = [_factor_or_message(r, phis) for r, phis in calls]
+    assert warm == cold
+    info = qsp._known_factor.cache_info()
+    assert info.currsize <= info.maxsize and info.hits > info.misses
+    refused = [m for m in cold if isinstance(m, str)]
+    assert refused and all(m.startswith("P over its known zeros dips to") for m in refused)
+    assert len(refused) < len(cold)
+
+
+def test_known_factor_cache_is_read_only_and_bounded():
+    """The cached K samples and |K|^2 coefficients cannot be written, and
+    a full cache holds about 2 MB; the check angles are read-only too."""
+    spec = boolfun.SymmetricSpec(5, (0, 1, 1, 0, 1, 0))
+    params, _ = qsp.synthesize(spec)
+    x = np.unique(np.cos(_weight_points(params, 5)))
+    inner = x[np.abs(x) < 1.0 - 1e-10]
+    k, q = qsp._known_factor(inner.tobytes(), (1.0,))
+    for a in (k, q, qsp._check_phis()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert q.size == 2 * (2 * inner.size + 1) + 1
+    assert 1.5e6 < qsp._known_factor.cache_info().maxsize * (k.nbytes + q.nbytes) < 2.5e6
+
+
 def _defect_on_the_grid(quad):
     """max |A^2+B^2+C^2+D^2 - 1| on the max(64, 8L)-point grid on [-2pi, 2pi)."""
     phis = np.linspace(-2 * math.pi, 2 * math.pi, max(64, 8 * quad.L), endpoint=False)
