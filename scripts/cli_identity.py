@@ -23,7 +23,12 @@ synthesis at n = 4, 6, 12; synth --out of slsb at n = 16 and maj at
 n = 15, and simulate --out of each with --eps/--shots/--seed; simulate
 without noise (text, JSON, --out) of the direct slsb and ip circuits at
 n = 12, slsb at n = 13 and ip at n = 14, and of a seeded random-angle
-circuit at n = 10 whose p_one values are all distinct; crossover;
+circuit at n = 10 whose p_one values are all distinct; simulate
+(text, JSON, --out, and --out with --eps/--shots/--seed) of slsb_true
+and slsb_relative files with seeded relabeled controls at n = 12..16, of
+ip_circuit files at n = 12, 14 and 16 relabeled pair to pair, and of two
+hand-made n = 6 circuits, one whose later blocks cut and span the atoms of
+a full signal block and one with runs on repeated controls; crossover;
 usage and argparse errors, and simulate of malformed circuit files (a
 float or bool control, a text angle, a float n, a text gate list, a
 phase_convention that is a huge integer or a list).  It takes a few minutes.
@@ -45,7 +50,7 @@ import tempfile
 
 import numpy as np
 
-from limspace import boolfun, cli
+from limspace import boolfun, circuits, cli
 
 # Fixed here rather than read from cli, so both checkouts run the same corpus.
 FAMILIES = ("slsb", "maj", "ip", "parity", "const0", "const1")
@@ -55,6 +60,7 @@ TABLES_PER_KIND = 40
 PROFILE_SEED = 20261020
 PROFILES_PER_ARITY = 12
 ANGLE_SEED = 20261021
+RELABEL_SEED = 20261022
 
 
 def _tables():
@@ -118,6 +124,43 @@ def _random_angle_circuit(n=10, size=100):
         angle = float(rng.uniform(-7, 7))
         gates.append({"name": "r" + "xyz"[rng.integers(3)], "control": control, "angle": angle})
     return _circuit_text(n=n, gates=gates)
+
+
+def _relabeled_text(circuit, perm):
+    """circuit's JSON text with control c moved to perm[c - 1] + 1."""
+    data = circuit.to_json_dict()
+    for gate in data["gates"]:
+        if gate["control"] is not None:
+            gate["control"] = perm[gate["control"] - 1] + 1
+    return json.dumps(data)
+
+
+def _pair_preserving(rng, n):
+    """A seeded relabeling of n (even) bits that maps each pair (2k-1, 2k)
+    onto a pair, in either order, so the inner product stays ip."""
+    perm = [0] * n
+    for k, target in enumerate(rng.permutation(n // 2)):
+        first, second = (2 * target, 2 * target + 1)[:: 1 - 2 * int(rng.integers(0, 2))]
+        perm[2 * k], perm[2 * k + 1] = int(first), int(second)
+    return perm
+
+
+def _gate(name, control=None, angle=None):
+    return {"name": name, "control": control, "angle": angle}
+
+
+# Hand-made circuits at n = 6 whose runs split the weights: a later block
+# that cuts the one atom of a full signal block, then spans both parts;
+# and runs of one action on repeated controls.
+CUT_GATES = (
+    [_gate("h")] + [_gate("rx", c, 0.3) for c in range(1, 7)] + [_gate("ry", None, 0.5)]
+    + [_gate("rx", c, 0.9) for c in (2, 4)] + [_gate("rz", c, 1.1) for c in (1, 2, 3)]
+    + [_gate("h", 5), _gate("ry", None, -0.7)]
+)
+REPEAT_GATES = (
+    [_gate("ry", None, 0.2)] + [_gate("rx", c, 0.4) for c in (1, 2, 1, 3, 2, 6)]
+    + [_gate("h", c) for c in (4, 4, 5)] + [_gate("ry", c, 1.3) for c in (6, 5, 6, 1)]
+)
 
 
 # Circuit files that simulate must refuse as a bad circuit file.
@@ -197,6 +240,28 @@ def corpus(workdir):
         simulate + ["--format", "json"],
         simulate + ["--out", os.path.join(workdir, "random_angles10.csv")],
     ]
+    rng = np.random.default_rng(RELABEL_SEED)
+    relabeled = []
+    for n in range(12, 17):
+        for build in (circuits.slsb_true, circuits.slsb_relative):
+            text = _relabeled_text(build(n), [int(p) for p in rng.permutation(n)])
+            relabeled.append((f"{build.__name__}{n}", text, ["--fn", "slsb", "--n", str(n)]))
+    for n in (12, 14, 16):
+        text = _relabeled_text(circuits.ip_circuit(n), _pair_preserving(rng, n))
+        relabeled.append((f"ip_circuit{n}", text, ["--fn", "ip", "--n", str(n)]))
+    hand_table = boolfun.BooleanFunction(6, rng.integers(0, 2, 64)).to_hex()
+    for tag, gates in (("cut", CUT_GATES), ("repeat", REPEAT_GATES)):
+        relabeled.append((tag, _circuit_text(n=6, gates=gates), ["--table", hand_table, "--n", "6"]))
+    for tag, text, target in relabeled:
+        path = os.path.join(workdir, f"classes_{tag}.json")
+        files[path] = text
+        simulate = ["simulate", "--circuit", path, *target]
+        calls += [
+            simulate,
+            simulate + ["--format", "json"],
+            simulate + ["--out", os.path.join(workdir, f"classes_{tag}.csv")],
+            simulate + NOISE + ["--out", os.path.join(workdir, f"classes_{tag}_noisy.csv")],
+        ]
     for family, eps in itertools.product(("ip", "slsb"), ("0.0", "0.1", "0.15", "0.25")):
         calls.append(["crossover", "--eps", eps, "--family", family])
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])

@@ -3,9 +3,9 @@
 Runs the synthesis pipeline on every symmetric profile at n = 5..7
 (448 profiles, those with f(0) = 1 included): `qsp.synthesize`, then
 `circuits.compile_qsp`, `circuits.merge_adjacent` (its word check
-included, which compares the n+1 weight-class words since every compiled
-circuit here is certified by `circuits.weight_symmetric`), `to_json` of the merged circuit and
-`LimitedSpaceCircuit.from_json` of that text.  The three qsp stages are
+included, which compares the n+1 class words of the raw and the merged
+circuit: every compiled circuit's word classes are its weights), `to_json`
+of the merged circuit and `LimitedSpaceCircuit.from_json` of that text.  The three qsp stages are
 timed by wrapping `qsp.solve_ab`, `qsp.complete_cd` and
 `qsp.find_angles` where `synthesize` looks them up, so each sums every
 degree the degree search tries, the refused ones included.  BLAS runs on

@@ -11,6 +11,13 @@ of the input weight (relative-phase and true forms), the inner-product
 blocks, a hand-optimized eight-entangling-gate builtin, compilation of
 signal-processing angle sequences, and a merging pass that shrinks a
 circuit without changing any V(x).
+
+Words are computed on classes of inputs rather than on each input: a run
+of consecutive gates with bitwise equal actions on distinct controls
+applies its action k times to every input with k of its controls set, so
+inputs that agree on such counts share their word bit for bit.  A
+compiled circuit has the n+1 weights as its classes, slsb_true and
+slsb_relative have 2n, and ip_circuit reaches 2^n only in its last block.
 """
 
 from __future__ import annotations
@@ -285,6 +292,180 @@ def _gate_text(g: GateSpec) -> str:
 
 
 @dataclass(frozen=True, eq=False)
+class WordClasses:
+    """A circuit's words, one per class of inputs that get bitwise one word.
+
+    The controls the circuit uses fall into atoms, masks[j] holding atom
+    j's controls (bit c-1 for control c).  An input's class counts its set
+    bits in each atom, read as digits with the last atom's lowest: class
+    sum_j stride_j * |x & masks[j]|, where stride_j is the product of
+    |masks[i]| + 1 over the atoms i after j.  words[k] is the word of every
+    input of class k, shape (classes, 2, 2), read-only.
+    """
+
+    n: int
+    masks: tuple[int, ...]
+    words: np.ndarray
+
+    def input_classes(self) -> np.ndarray:
+        """The class of every input 0..2^n - 1."""
+        return self._grid([1 << bit for bit in reversed(range(self.n))])
+
+    def _grid(self, parts) -> np.ndarray:
+        """The class of each count vector over parts, flat in C order.
+
+        Each part is a set of controls inside one atom or outside them all.
+        Entry (c_1, ..., c_q) is the class of the inputs with c_i set bits
+        in part i.  It is built by doubling, as boolfun.input_weights is,
+        from the last part: the entries with count c in a part are those
+        below it plus c times the part's stride.  The type is the least
+        unsigned one that holds twice the class count, so 2 * class + bit
+        does not wrap.
+        """
+        stride_of = {}
+        stride = 1
+        for mask in reversed(self.masks):
+            stride_of[mask] = stride
+            stride *= mask.bit_count() + 1
+        index = np.zeros(math.prod(part.bit_count() + 1 for part in parts),
+                         dtype=np.min_scalar_type(2 * len(self.words)))
+        filled = 1
+        for part in reversed(parts):
+            stride = next((s for m, s in stride_of.items() if m & part), 0)
+            for count in range(1, part.bit_count() + 1):
+                np.add(index[:filled], count * stride,
+                       out=index[count * filled:(count + 1) * filled])
+            filled *= part.bit_count() + 1
+        return index
+
+
+def _word_classes(c: "LimitedSpaceCircuit") -> WordClasses:
+    """c's words on the classes its blocks allow, each class through
+    exactly the float operations that each of its inputs goes through.
+
+    A block is an uncontrolled gate, or a maximal run of consecutive
+    controlled gates whose actions are bitwise equal (identity is tried
+    before the bytes) and whose controls are distinct.  A block with
+    action A applies A k times in a row to an input with k of its controls
+    set, whichever they are.  So an input's word depends only on how many
+    of its set bits fall in each atom: the classes of controls that every
+    block so far holds whole or misses.  The words live in one
+    (2, 2, d_1, ..., d_m) array, axis j counting the set bits of atom j;
+    controls no block has touched are no axis.  A block first refines the
+    atoms (_refine), then applies A, for t = 1..|block|, to the classes
+    with at least t of its controls set: basic views of one axis when the
+    block is one atom, as every block of a compile_qsp circuit is.
+    """
+    w = np.zeros((2, 2), dtype=complex)
+    w[0, 0] = w[1, 1] = 1
+    atoms: list[int] = []
+    gates = c.gates
+    end = len(gates)
+    i = 0
+    while i < end:
+        g = gates[i]
+        action = g._action
+        i += 1
+        if g.control is None:
+            w[...] = np.einsum("ij,jk...->ik...", action, w)
+            continue
+        block = 1 << (g.control - 1)
+        data = None
+        while i < end:
+            h = gates[i]
+            control = h.control
+            if control is None:
+                break
+            bit = 1 << (control - 1)
+            if block & bit:
+                break
+            if h._action is not action:
+                if data is None:
+                    data = action.tobytes()
+                if h._action.tobytes() != data:
+                    break
+            block |= bit
+            i += 1
+        size = block.bit_count()
+        if atoms and atoms[0] == block:
+            # Every block of a compile_qsp circuit but its first: slices
+            # of the first axis, with no index to build.
+            for t in range(1, size + 1):
+                v = w[:, :, t:]
+                v[...] = np.einsum("ij,jk...->ik...", action, v)
+            continue
+        if block not in atoms:
+            w, atoms = _refine(w, atoms, block)
+        if block in atoms:
+            head = (slice(None),) * (2 + atoms.index(block))
+            for t in range(1, size + 1):
+                v = w[head + (slice(t, None),)]
+                v[...] = np.einsum("ij,jk...->ik...", action, v)
+        else:
+            w = _apply_across(w, atoms, block, action)
+    words = np.ascontiguousarray(w.reshape(2, 2, -1).transpose(2, 0, 1))
+    return WordClasses(c.n, tuple(atoms), _frozen(words))
+
+
+def _refine(w: np.ndarray, atoms: list[int], block: int) -> tuple[np.ndarray, list[int]]:
+    """Split each atom that block cuts, and add block's fresh controls.
+
+    A cut atom's axis becomes two, the part inside block first, by a
+    gather on c_1 + c_2: until now only the sum mattered.  The fresh
+    controls become a new last axis, by a broadcast.
+    """
+    out: list[int] = []
+    seen = 0
+    for atom in atoms:
+        seen |= atom
+        inside, outside = atom & block, atom & ~block
+        if inside and outside:
+            sums = np.add.outer(np.arange(inside.bit_count() + 1),
+                                np.arange(outside.bit_count() + 1))
+            w = w.take(sums, axis=2 + len(out))
+            out += [inside, outside]
+        else:
+            out.append(atom)
+    fresh = block & ~seen
+    if fresh:
+        w = np.broadcast_to(w[..., None], w.shape + (fresh.bit_count() + 1,)).copy()
+        out.append(fresh)
+    return w, out
+
+
+def _apply_across(w: np.ndarray, atoms: list[int], block: int, action: np.ndarray) -> np.ndarray:
+    """w after a block that spans several atoms: each class gets action
+    once for each of block's controls it has set, by gathers on the
+    classes with at least t of them, t = 1..|block|."""
+    counts = np.zeros(w.shape[2:], dtype=int)
+    for j, atom in enumerate(atoms):
+        if atom & block:
+            counts += np.arange(w.shape[2 + j]).reshape((-1,) + (1,) * (len(atoms) - 1 - j))
+    counts = counts.ravel()
+    flat = w.reshape(2, 2, -1)
+    for t in range(1, block.bit_count() + 1):
+        at = np.flatnonzero(counts >= t)
+        flat[:, :, at] = np.einsum("ij,jk...->ik...", action, flat[:, :, at])
+    return flat.reshape(w.shape)
+
+
+def _defect(a: WordClasses, b: WordClasses) -> float:
+    """The largest |V_a(x) - V_b(x)| entry over every input x.
+
+    Read on the classes of the common refinement of both partitions:
+    each of its count vectors is that of some input, and fixes the class
+    on both sides, so the pairs of words compared are those of the 2^n
+    inputs.  With equal partitions the refinement is either one, and the
+    classes are compared in their order.
+    """
+    in_a, in_b = sum(a.masks), sum(b.masks)  # atoms are disjoint
+    parts = [x & y for x in a.masks for y in b.masks if x & y]
+    parts += [x & ~in_b for x in a.masks if x & ~in_b]
+    parts += [y & ~in_a for y in b.masks if y & ~in_a]
+    return np.max(np.abs(a.words[a._grid(parts)] - b.words[b._grid(parts)]))
+
+
+@dataclass(frozen=True, eq=False)
 class LimitedSpaceCircuit:
     """An ordered gate list over n input bits plus the one work qubit.
 
@@ -296,8 +477,7 @@ class LimitedSpaceCircuit:
     gates: tuple[GateSpec, ...]
     phase_convention: str = ""
     _words: np.ndarray | None = field(default=None, init=False, repr=False)
-    _weight_words: np.ndarray | None = field(default=None, init=False, repr=False)
-    _weight_symmetric: bool | None = field(default=None, init=False, repr=False)
+    _classes: "WordClasses | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n):
@@ -316,37 +496,24 @@ class LimitedSpaceCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def words(self, by_weight: bool = False) -> np.ndarray:
+    def words(self, classes: bool = False):
         """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1).
 
-        With by_weight, V(x) at the n+1 inputs x = 2^w - 1 instead, shape
-        (n+1, 2, 2): row w is the input whose bits 1..w are set, so a gate
-        with control c fires on the rows w >= c.  Row w is bitwise row
-        2^w - 1 of words(), and, for a circuit that weight_symmetric
-        certifies, bitwise V(x) at every input of weight w.
-
-        Each form is computed on its first call; every call returns that
-        read-only, C-contiguous array.  The work happens in one
-        (2, 2, inputs) buffer with the input index innermost, so a
-        controlled gate updates a view of it (the inputs whose control bit
-        is set) in place.
+        With classes, the words as a WordClasses instead: one word per
+        class of inputs that get bitwise the same word, and each input's
+        class.  Both forms are computed on the first call and kept; every
+        call returns the same read-only object.  The classes come from
+        _word_classes, and the 2^n words are gathered from them, so every
+        input's word is bitwise the one its own gate products give.
         """
-        memo = "_weight_words" if by_weight else "_words"
-        if getattr(self, memo) is None:
-            w = np.zeros((2, 2, self.n + 1 if by_weight else 1 << self.n), dtype=complex)
-            w[0, 0] = w[1, 1] = 1
-            for g in self.gates:
-                v = w
-                if g.control is not None and by_weight:
-                    v = w[:, :, g.control:]
-                elif g.control is not None:
-                    # w is contiguous, so this reshape is a view: the
-                    # write below must land in w, not in a copy.
-                    v = w.reshape(2, 2, -1, 2, 1 << (g.control - 1))[:, :, :, 1]
-                v[...] = np.einsum("ij,jk...->ik...", g.action, v)
-            words = np.ascontiguousarray(w.transpose(2, 0, 1))
-            object.__setattr__(self, memo, _frozen(words))
-        return getattr(self, memo)
+        if self._classes is None:
+            object.__setattr__(self, "_classes", _word_classes(self))
+        found = self._classes
+        if classes:
+            return found
+        if self._words is None:
+            object.__setattr__(self, "_words", _frozen(found.words[found.input_classes()]))
+        return self._words
 
     def to_json_dict(self) -> dict:
         return {
@@ -435,46 +602,6 @@ class LimitedSpaceCircuit:
 def entangling_count(c: LimitedSpaceCircuit) -> int:
     """Number of gates that carry a control."""
     return sum(1 for g in c.gates if g.control is not None)
-
-
-def weight_symmetric(c: LimitedSpaceCircuit) -> bool:
-    """Whether every input of one weight gets bitwise the same word.
-
-    The certificate: each maximal run of consecutive controlled gates
-    holds each control 1..n exactly once, and its actions are bitwise
-    equal.  Such a run applies its action w times in a row to every input
-    of weight w, whichever bits are set, so all those inputs go through
-    the same float operations and words() is constant within each
-    weight, bit for bit.  compile_qsp's signal blocks are such runs, and
-    merge_adjacent keeps them so.  The verdict is computed by one scan on
-    the first call and kept on the circuit, whose gates never change.
-    """
-    if c._weight_symmetric is None:
-        object.__setattr__(c, "_weight_symmetric", _scan_weight_runs(c))
-    return c._weight_symmetric
-
-
-def _scan_weight_runs(c: LimitedSpaceCircuit) -> bool:
-    """weight_symmetric's certificate, scanned afresh; it stops at the
-    first run that fails."""
-    controls = set(range(1, c.n + 1))
-    run: list[GateSpec] = []
-    for g in (*c.gates, None):
-        if g is not None and g.control is not None:
-            run.append(g)
-            continue
-        if run:
-            # Members often share one action object (compile_qsp's signal
-            # block, from_json's records that differ in their control
-            # alone), so identity is tried before the bytes.
-            action = run[0].action
-            data = action.tobytes()
-            if (len(run) != c.n or {h.control for h in run} != controls
-                    or any(h.action is not action and h.action.tobytes() != data
-                           for h in run)):
-                return False
-            run = []
-    return True
 
 
 _HX_FIG = _NAMED["x"] @ _NAMED["h"]
@@ -738,11 +865,11 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     Within one call each pair of distinct actions is tested for
     commutation once.  A gate alone in its run (other than a matrix
     gate) passes through as the same object, so compile_qsp's signal
-    block keeps its one shared action, and weight_symmetric's scan of
-    the merged circuit compares it by identity.  The result is verified
-    against the input: on the n+1 inputs 2^w - 1 when weight_symmetric
-    certifies both circuits, which then covers every input bit for bit,
-    and on all 2^n inputs otherwise.
+    block keeps its one shared action, and the block scan of the merged
+    circuit's words compares it by identity.  The result is verified
+    against the input on every input, read on both circuits' word
+    classes (_defect): for a compiled circuit, raw and merged, the n+1
+    weights.
     """
     gates = list(c.gates)
     commutes: dict[tuple[bytes, bytes], bool] = {}
@@ -755,8 +882,7 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     merged = LimitedSpaceCircuit(
         n=c.n, gates=tuple(gates), phase_convention=c.phase_convention
     )
-    by_weight = weight_symmetric(c) and weight_symmetric(merged)
-    defect = np.max(np.abs(merged.words(by_weight) - c.words(by_weight)))
+    defect = _defect(merged.words(classes=True), c.words(classes=True))
     if defect > 1e-10:
         raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
     return merged

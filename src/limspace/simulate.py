@@ -1,8 +1,8 @@
 """Exact simulation, classification, noise analysis, and certificates.
 
-Evaluation multiplies out the 2x2 words V(x) for every input, or only
-for one input per weight when circuits.weight_symmetric certifies that
-the words depend on the weight alone, bit for bit.  The ASP
+Evaluation reads the 2x2 words V(x) on the circuit's word classes
+(LimitedSpaceCircuit.words(classes=True)): one word per class of inputs
+that get bitwise the same word, and each input's class.  The ASP
 of a circuit against a target function is the mean over inputs of the
 probability of measuring f(x).  A toy noise model lets each entangling
 gate fail independently; any failure scrambles the output bit, which
@@ -24,9 +24,8 @@ from .boolfun import (
     BooleanFunction,
     affine_test,
     classical_upper_bound,
-    input_weights,
 )
-from .circuits import LimitedSpaceCircuit, entangling_count, weight_symmetric
+from .circuits import LimitedSpaceCircuit, entangling_count
 from .qsp import _I2, _X, _frozen
 
 _IX = _frozen(1j * _X)
@@ -123,30 +122,21 @@ class SimulationResult:
 _CSV_BLOCK_BITS = 12
 
 
-def _words_by_row(c: LimitedSpaceCircuit):
-    """c's words, and whether their rows are weights rather than inputs.
-
-    The rows are the n+1 weights, so input x reads row |x|, when
-    weight_symmetric certifies c; otherwise they are the 2^n inputs.
-    """
-    weighted = weight_symmetric(c)
-    return c.words(by_weight=weighted), weighted
-
-
 def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     """Exhaustive success probability and implementation class.
 
-    On a circuit that weight_symmetric certifies, the words are computed
-    at one input per weight and p_one is spread over the inputs by their
-    weight; the ASP is still the mean over all 2^n inputs, the same float
-    as from every word.  The class compares each weight's word with the
-    target of each truth value f takes at that weight, which gives the
-    same extremes as comparing every input's word with its own target.
+    The words are computed once per word class, and p_one is spread over
+    the inputs through their classes; the ASP is still the mean over all
+    2^n inputs, the same float as from every word.  The implementation
+    class compares each word class's word with the target of each truth
+    value f takes on that class, which gives the same extremes as
+    comparing every input's word with its own target.
     """
     if c.n != f.n:
         raise ValueError(f"circuit has n={c.n} but function has n={f.n}")
-    words, weighted = _words_by_row(c)
-    row = input_weights(c.n) if weighted else np.arange(1 << c.n, dtype=np.uint32)
+    classes = c.words(classes=True)
+    words = classes.words
+    row = classes.input_classes()
     truth = f.truth
     # takes[r, t]: some input whose word is row r has f = t.
     takes = np.bincount(2 * row + truth, minlength=2 * len(words)).reshape(-1, 2) > 0
@@ -197,8 +187,8 @@ def noisy_asp_mc(
     from one generator in chunks of _SHOT_CHUNK, so memory is bounded
     whatever the count.  Seeded estimates differ from those of the
     earlier one-coin-per-gate draw, which had the same distribution.
-    On a circuit that weight_symmetric certifies, p_one is computed once
-    per weight and read through the drawn input's weight.
+    p_one is computed once per word class and read through the drawn
+    input's class.
     """
     NoiseModel(epsilon)
     if c.n != f.n:
@@ -206,15 +196,16 @@ def noisy_asp_mc(
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
-    words, weighted = _words_by_row(c)
-    p_one = np.abs(words[:, 1, 0]) ** 2
+    classes = c.words(classes=True)
+    p_one = np.abs(classes.words[:, 1, 0]) ** 2
+    row = classes.input_classes()
     p_clean = (1.0 - epsilon) ** entangling_count(c)
     hits = 0
     for start in range(0, shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, shots - start)
         xs = rng.integers(0, 1 << c.n, size=size)
         clean = rng.random(size) < p_clean
-        clean_bit = rng.random(size) < p_one[np.bitwise_count(xs) if weighted else xs]
+        clean_bit = rng.random(size) < p_one[row[xs]]
         coin_bit = rng.integers(0, 2, size=size).astype(bool)
         outcome = np.where(clean, clean_bit, coin_bit)
         hits += int(np.count_nonzero(outcome == (f.truth[xs] == 1)))

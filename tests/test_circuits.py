@@ -503,11 +503,12 @@ def test_words_are_computed_once_and_read_only():
     assert words.flags.c_contiguous
     simulate.asp(c, boolfun.slsb(4))
     assert c.words() is words
-    reps = c.words(by_weight=True)
-    assert reps is c.words(by_weight=True)
-    assert reps.shape == (5, 2, 2)
+    found = c.words(classes=True)
+    assert found is c.words(classes=True)
+    reps = found.words
+    assert reps.shape == (8, 2, 2)
     assert reps.flags.c_contiguous
-    assert reps.tobytes() == words[[0, 1, 3, 7, 15]].tobytes()
+    assert reps[found.input_classes()].tobytes() == words.tobytes()
     for computed in (words, reps):
         with pytest.raises(ValueError):
             computed[0, 0, 0] = 2.0
@@ -534,6 +535,20 @@ def _words_mask_per_gate(c):
             mask = (idx >> (g.control - 1)) & 1 == 1
             out[mask] = np.einsum("ij,njk->nik", g.action, out[mask])
     return out
+
+
+def _words_strided(c):
+    """The words() kernel that updated, per gate, the strided view of a
+    (2, 2, 2^n) buffer holding the inputs whose control bit is set: a
+    second reference, faster than _words_mask_per_gate at large n."""
+    w = np.zeros((2, 2, 1 << c.n), dtype=complex)
+    w[0, 0] = w[1, 1] = 1
+    for g in c.gates:
+        v = w
+        if g.control is not None:
+            v = w.reshape(2, 2, -1, 2, 1 << (g.control - 1))[:, :, :, 1]
+        v[...] = np.einsum("ij,jk...->ik...", g.action, v)
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 def _commuting_runs_all_pairs(gates, commutes):
@@ -641,7 +656,143 @@ def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged, wide_circuit
         circuits.LimitedSpaceCircuit(3, ()),
     ]
     for c in [c for pair in raw_and_merged for c in pair] + fixed + randoms:
-        assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
+        _assert_words_are_the_reference(c)
+
+
+def _assert_class_words(c, want):
+    """words() and the class words gathered to every input have the bytes want."""
+    found = c.words(classes=True)
+    assert found.words[found.input_classes()].tobytes() == want
+    assert c.words().tobytes() == want
+
+
+def _assert_words_are_the_reference(c):
+    """words(), the class words gathered to every input and the strided
+    kernel give the mask-per-gate kernel's bytes."""
+    want = _words_mask_per_gate(c).tobytes()
+    _assert_class_words(c, want)
+    assert _words_strided(c).tobytes() == want
+
+
+def test_every_symmetric_class_up_to_arity_8_has_bitwise_weight_words():
+    """The raw and merged circuit of each symmetric profile with n = 6..8
+    that synthesizes has the n+1 weights as its classes, and the strided
+    kernel's words (raw_and_merged holds n <= 5, against the mask-per-gate
+    kernel, which is slower here by a factor of about five)."""
+    seen = 0
+    for n in range(6, 9):
+        for tail in itertools.product((0, 1), repeat=n):
+            spec = boolfun.SymmetricSpec(n, (0, *tail))
+            try:
+                params, xi = qsp.synthesize(spec)
+            except (qsp.SolveError, qsp.CompletionError, qsp.AngleFindingError):
+                continue
+            for values in (spec.by_weight, tuple(1 - v for v in spec.by_weight)):
+                raw = circuits.compile_qsp(boolfun.SymmetricSpec(n, values), xi, params)
+                for c in (raw, circuits.merge_adjacent(raw)):
+                    assert _weight_classes(c)
+                    _assert_class_words(c, _words_strided(c).tobytes())
+                seen += 1
+    assert seen >= 880
+
+
+def test_class_counts_of_each_family():
+    """1 class for a circuit with no controlled gate, n+1 for a compiled
+    circuit, 2n for slsb_true and slsb_relative, 2^n for ip_circuit and 6
+    for fig1 (atoms {1, 2} and {3}), whatever the controls' labels."""
+    rng = np.random.default_rng(2801)
+    assert len(circuits.LimitedSpaceCircuit(3, ()).words(classes=True).words) == 1
+    lone = circuits.LimitedSpaceCircuit(2, (circuits.GateSpec.named("h"),))
+    assert lone.words(classes=True).masks == ()
+    assert len(lone.words(classes=True).input_classes()) == 4
+    for n in (3, 6):
+        spec = boolfun.slsb_spec(n)
+        raw = circuits.compile_qsp(spec, *reversed(qsp.synthesize(spec)))
+        for c in (raw, circuits.merge_adjacent(raw)):
+            assert len(c.words(classes=True).words) == n + 1
+    for n in range(2, 15):
+        perm = rng.permutation(n)
+        for build in (circuits.slsb_true, circuits.slsb_relative):
+            assert len(_relabeled(build(n), perm).words(classes=True).words) == 2 * n
+        if n % 2 == 0:
+            assert len(_relabeled(circuits.ip_circuit(n), perm).words(classes=True).words) == 1 << n
+    fig1 = circuits.builtin_slsb3_fig1().words(classes=True)
+    assert fig1.masks == (0b011, 0b100) and len(fig1.words) == 6
+
+
+# Gate makers for the class-kernel circuits.  Equal actions are held by
+# one object (with_control copies) or by distinct ones (fresh gates), and
+# the pool holds actions equal by bytes under another name (an rx and its
+# matrix copy) and actions that differ only in a signed zero.
+_CLASS_POOL = (
+    lambda control: circuits.GateSpec.rotation("x", 0.7, control),
+    lambda control: circuits.GateSpec.from_matrix(
+        circuits.GateSpec.rotation("x", 0.7).action, "rx-copy", control),
+    lambda control: circuits.GateSpec.rotation("z", 0.0, control),
+    lambda control: circuits.GateSpec.rotation("z", -0.0, control),
+    lambda control: circuits.GateSpec.rotation("y", 1.1, control),
+    lambda control: circuits.GateSpec.named("h", control),
+    lambda control: circuits.GateSpec.from_matrix(circuits._XSDG, "xsdg", control),
+)
+
+
+@st.composite
+def _class_circuits(draw, n):
+    """Runs of one pool action on drawn controls, repeats allowed, so a
+    run may split in blocks at a repeated control, and a later block may
+    cut an atom or span several; runs are often separated by an
+    uncontrolled gate."""
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            gates.append(_CLASS_POOL[draw(st.integers(0, len(_CLASS_POOL) - 1))](None))
+        make = _CLASS_POOL[draw(st.integers(0, len(_CLASS_POOL) - 1))]
+        first = None
+        for control in draw(st.lists(st.integers(1, n), max_size=n + 2)):
+            if first is None or draw(st.booleans()):
+                gate = make(control)
+                first = first or gate
+            else:
+                gate = first.with_control(control)
+            gates.append(gate)
+    return circuits.LimitedSpaceCircuit(n, tuple(gates))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_class_circuits(n), _class_circuits(n))))
+@settings(max_examples=150, deadline=None)
+def test_class_kernel_on_drawn_runs(pair):
+    """Each drawn circuit's words and class words are the reference
+    kernel's bytes, and the merge check's defect on the classes of two
+    circuits is the float that all 2^n words give."""
+    a, b = pair
+    want = [_words_mask_per_gate(c) for c in pair]
+    for c, words in zip(pair, want):
+        _assert_class_words(c, words.tobytes())
+    got = circuits._defect(a.words(classes=True), b.words(classes=True))
+    assert got == np.max(np.abs(want[0] - want[1]))
+    assert circuits._defect(a.words(classes=True), a.words(classes=True)) == 0.0
+
+
+def test_hand_built_families_referee_up_to_arity_14(monkeypatch, tmp_path):
+    """slsb_true, slsb_relative and ip_circuit with seeded relabeled
+    controls at n = 2..14, and fig1, against the reference kernel: words,
+    class words, ASP, class, CSV bytes and a seeded Monte Carlo value."""
+    rng = np.random.default_rng(2802)
+    cases = [(circuits.builtin_slsb3_fig1(), boolfun.slsb(3))]
+    for n in range(2, 15):
+        perm = rng.permutation(n)
+        source = np.arange(1 << n)
+        relabeled = sum(((source >> p) & 1) << k for k, p in enumerate(perm))
+        cases += [(_relabeled(build(n), perm), boolfun.slsb(n))
+                  for build in (circuits.slsb_true, circuits.slsb_relative)]
+        if n % 2 == 0:
+            inner = boolfun.ip(n).truth[relabeled]
+            cases.append((_relabeled(circuits.ip_circuit(n), perm), boolfun.BooleanFunction(n, inner)))
+    for c, f in cases:
+        words = _words_mask_per_gate(c)
+        assert _words_strided(c).tobytes() == words.tobytes()
+        _referee_class_path(c, f, monkeypatch, tmp_path / "rows.csv", words)
+        assert simulate.asp(c, f).asp == pytest.approx(1.0, abs=1e-12)
 
 
 def _csv_rows(n, truth, p_one):
@@ -754,22 +905,34 @@ def _asp_from_words(words, truth):
     return float(np.mean(success)), kind
 
 
-def _referee_weight_path(c, f, monkeypatch, path):
-    """A certified circuit's weight-class results against its 2^n words."""
-    assert circuits.weight_symmetric(c)
-    words = c.words()
-    reps = c.words(by_weight=True)
-    assert reps.tobytes() == words[(1 << np.arange(c.n + 1)) - 1].tobytes()
-    weight = np.bitwise_count(np.arange(1 << c.n))
-    assert words.tobytes() == reps[weight].tobytes()
+def _one_class_per_input(n, words):
+    """A WordClasses whose atoms are the single bits, bit n first, so
+    that each input is its own class, numbered by its index."""
+    return circuits.WordClasses(n, tuple(1 << bit for bit in reversed(range(n))), words)
+
+
+def _weight_classes(c):
+    """Whether c's classes are its n+1 weights: one atom holding every control."""
+    return c.words(classes=True).masks == ((1 << c.n) - 1,)
+
+
+def _referee_class_path(c, f, monkeypatch, path, words=None):
+    """c's class-word results against its words from the mask-per-gate
+    kernel: the gathered class words, words(), the ASP, the class, the CSV
+    bytes and a seeded Monte Carlo estimate read through one class per
+    input."""
+    if words is None:
+        words = _words_mask_per_gate(c)
+    _assert_class_words(c, words.tobytes())
     got = simulate.asp(c, f)
     want_asp, want_kind = _asp_from_words(words, f.truth)
     assert repr(got.asp) == repr(want_asp)
     assert got.classification is want_kind
     _assert_csv_bytes(got, _csv_from_words(c.n, f.truth, words), path)
     mc = simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n)
+    per_input = _one_class_per_input(c.n, words)
     with monkeypatch.context() as m:
-        m.setattr(simulate, "weight_symmetric", lambda c: False)
+        m.setattr(circuits.LimitedSpaceCircuit, "words", lambda self, classes=False: per_input)
         assert simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n) == mc
 
 
@@ -778,24 +941,25 @@ def _seeded_spec(n, seed):
 
 
 def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch, tmp_path):
-    """Every certified circuit of raw_and_merged, against the function it
-    computes and against a seeded table that splits weight classes."""
+    """Every circuit of raw_and_merged, against the function it computes
+    and against a seeded table that splits its classes.  All but the six
+    hand-built ones have the n+1 weights as their classes."""
     rng = np.random.default_rng(1311)
-    certified = [c for pair in raw_and_merged for c in pair if circuits.weight_symmetric(c)]
-    assert len(certified) == len(raw_and_merged) * 2 - 6
+    every = [c for pair in raw_and_merged for c in pair]
+    assert sum(map(_weight_classes, every)) == len(every) - 6
     kinds = set()
-    for c in certified:
+    for c in every:
         computed = boolfun.BooleanFunction(c.n, np.abs(c.words()[:, 1, 0]) ** 2 > 0.5)
         split = boolfun.BooleanFunction(c.n, rng.integers(0, 2, 1 << c.n))
         for f in (computed, split):
-            _referee_weight_path(c, f, monkeypatch, tmp_path / "rows.csv")
+            _referee_class_path(c, f, monkeypatch, tmp_path / "rows.csv")
             kinds.add(simulate.asp(c, f).classification)
     assert kinds == set(simulate.Classification)
 
 
 def test_weight_classes_referee_up_to_arity_16(monkeypatch, tmp_path):
     """slsb at n = 16, maj at n = 15 and seeded profiles at n = 9..14, raw
-    and merged, against their 2^n words."""
+    and merged, against their 2^n words from the strided kernel."""
     specs = [boolfun.slsb_spec(16), boolfun.maj_spec(15)]
     specs += [_seeded_spec(n, 900 + n) for n in range(9, 15)]
     assert {spec.by_weight[0] for spec in specs} == {0, 1}
@@ -804,7 +968,8 @@ def test_weight_classes_referee_up_to_arity_16(monkeypatch, tmp_path):
         raw = circuits.compile_qsp(spec, xi, params)
         f = boolfun.make_symmetric(spec)
         for c in (raw, circuits.merge_adjacent(raw)):
-            _referee_weight_path(c, f, monkeypatch, tmp_path / "rows.csv")
+            assert _weight_classes(c)
+            _referee_class_path(c, f, monkeypatch, tmp_path / "rows.csv", _words_strided(c))
 
 
 def test_weight_words_match_the_angle_reconstruction():
@@ -820,22 +985,15 @@ def test_weight_words_match_the_angle_reconstruction():
             want = circuits._NAMED["x"] @ want
         raw = circuits.compile_qsp(spec, xi, params)
         for c in (raw, circuits.merge_adjacent(raw)):
-            assert circuits.weight_symmetric(c)
-            assert np.max(np.abs(c.words(by_weight=True) - want)) <= 1e-12, spec
+            assert _weight_classes(c)
+            assert np.max(np.abs(c.words(classes=True).words - want)) <= 1e-12, spec
 
 
-def _computed_on(c):
-    """Which words c has computed: all inputs, one per weight."""
-    return c._words is not None, c._weight_words is not None
-
-
-def test_uncertified_circuits_take_every_input():
-    fixed = [circuits.builtin_slsb3_fig1()]
-    for n in range(2, 9):
-        fixed += [circuits.slsb_true(n), circuits.slsb_relative(n)]
-    fixed += [circuits.ip_circuit(n) for n in (2, 4, 6, 8)]
-    assert not any(circuits.weight_symmetric(c) for c in fixed)
-
+def test_blocks_that_cut_the_weights_refine_the_classes(monkeypatch, tmp_path):
+    """A compiled slsb5 circuit with one signal gate moved to a repeated
+    control, or nudged by one ulp, splits a signal block in two: its
+    classes are finer than the weights, and its merge and simulation
+    still match the mask-per-gate words."""
     spec = boolfun.slsb_spec(5)
     params, xi = qsp.synthesize(spec)
     gates = list(circuits.compile_qsp(spec, xi, params).gates)
@@ -852,19 +1010,16 @@ def test_uncertified_circuits_take_every_input():
     f = boolfun.slsb(5)
     for why, gate in broken.items():
         c = circuits.LimitedSpaceCircuit(5, tuple(gates[:first + 1] + [gate] + gates[first + 2:]))
-        assert not circuits.weight_symmetric(c), why
         merged = circuits.merge_adjacent(c)
-        assert _computed_on(c) == (True, False), why
-        got = simulate.asp(merged, f)
-        assert _computed_on(merged) == (True, False), why
-        want_asp, want_kind = _asp_from_words(merged.words(), f.truth)
-        assert repr(got.asp) == repr(want_asp), why
-        assert got.classification is want_kind, why
+        for circuit in (c, merged):
+            assert len(circuit.words(classes=True).words) > 6, why
+            _referee_class_path(circuit, f, monkeypatch, tmp_path / "rows.csv")
 
 
 def test_broken_merge_of_a_certified_circuit_still_raises(monkeypatch):
-    """A pass that drops the last uncontrolled gate once keeps the
-    certificate, so the check runs on the weight classes, and fails."""
+    """A pass that drops the last uncontrolled gate once keeps the weights
+    as the merged circuit's classes, so the check compares the n+1 class
+    words of both circuits, and fails."""
     spec = boolfun.slsb_spec(6)
     raw = circuits.compile_qsp(spec, *reversed(qsp.synthesize(spec)))
     same_control_runs = circuits._pass_same_control_runs
@@ -879,27 +1034,27 @@ def test_broken_merge_of_a_certified_circuit_still_raises(monkeypatch):
     checked = []
     words = circuits.LimitedSpaceCircuit.words
 
-    def spy(self, by_weight=False):
-        checked.append((self, by_weight))
-        return words(self, by_weight)
+    def spy(self, classes=False):
+        checked.append((self, classes))
+        return words(self, classes)
 
     monkeypatch.setattr(circuits, "_pass_same_control_runs", broken)
     monkeypatch.setattr(circuits.LimitedSpaceCircuit, "words", spy)
     with pytest.raises(RuntimeError, match="merge changed the circuit, defect"):
         circuits.merge_adjacent(raw)
     assert dropped
-    assert [by_weight for _, by_weight in checked] == [True, True]
+    assert [classes for _, classes in checked] == [True, True]
     merged = checked[0][0]
-    assert merged is not raw and circuits.weight_symmetric(merged)
+    assert merged is not raw and _weight_classes(merged) and _weight_classes(raw)
 
 
-def test_weight_symmetric_scans_each_circuit_once(monkeypatch):
-    """merge_adjacent scans the raw and the merged circuit; asp and
-    noisy_asp_mc read the merged one's verdict.  A circuit fresh from
-    from_json is scanned once for its own verdict."""
-    scanned = []
-    scan = circuits._scan_weight_runs
-    monkeypatch.setattr(circuits, "_scan_weight_runs", lambda c: scanned.append(c) or scan(c))
+def test_word_classes_are_computed_once_per_circuit(monkeypatch):
+    """merge_adjacent computes the raw and the merged circuit's classes;
+    asp, noisy_asp_mc and words() reuse the merged one's.  A circuit fresh
+    from from_json computes its own once."""
+    computed = []
+    kernel = circuits._word_classes
+    monkeypatch.setattr(circuits, "_word_classes", lambda c: computed.append(c) or kernel(c))
     spec = boolfun.slsb_spec(5)
     f = boolfun.make_symmetric(spec)
     params, xi = qsp.synthesize(spec)
@@ -907,45 +1062,43 @@ def test_weight_symmetric_scans_each_circuit_once(monkeypatch):
     merged = circuits.merge_adjacent(raw)
     simulate.asp(merged, f)
     simulate.noisy_asp_mc(merged, f, 0.1, 100, seed=5)
-    assert [id(c) for c in scanned] == [id(raw), id(merged)]
+    merged.words()
+    assert [id(c) for c in computed] == [id(merged), id(raw)]
 
     loaded = circuits.LimitedSpaceCircuit.from_json(merged.to_json())
-    uncertified = circuits.LimitedSpaceCircuit.from_json(circuits.slsb_true(5).to_json())
-    for c in (loaded, uncertified):
+    true5 = circuits.LimitedSpaceCircuit.from_json(circuits.slsb_true(5).to_json())
+    for c in (loaded, true5):
         simulate.asp(c, f)
         simulate.noisy_asp_mc(c, f, 0.1, 100, seed=5)
-    assert [id(c) for c in scanned[2:]] == [id(loaded), id(uncertified)]
-    assert circuits.weight_symmetric(loaded) and not circuits.weight_symmetric(uncertified)
-    assert len(scanned) == 4
+        c.words()
+    assert [id(c) for c in computed[2:]] == [id(loaded), id(true5)]
+    assert _weight_classes(loaded) and not _weight_classes(true5)
+    assert len(computed) == 4
 
 
-def _scan_by_bytes(c):
-    """weight_symmetric's certificate with every member's action bytes
-    compared, shared objects included."""
-    controls = set(range(1, c.n + 1))
-    run = []
-    for g in (*c.gates, None):
-        if g is not None and g.control is not None:
-            run.append(g)
-            continue
-        if run:
-            action = run[0].action.tobytes()
-            if (len(run) != c.n or {h.control for h in run} != controls
-                    or any(h.action.tobytes() != action for h in run)):
-                return False
-            run = []
-    return True
+def _unshared(c):
+    """c with every gate holding its own copy of its action, so that the
+    block scan compares every member's bytes."""
+    gates = []
+    for g in c.gates:
+        copy = g.with_control(g.control)
+        object.__setattr__(copy, "_action", qsp._frozen(g.action.copy()))
+        gates.append(copy)
+    return circuits.LimitedSpaceCircuit(c.n, tuple(gates))
 
 
 def test_weight_scan_matches_the_bytes_only_scan(raw_and_merged):
-    """On every circuit of raw_and_merged and its from_json copy, and on
-    runs whose equal actions are shared, equal but distinct, or one ulp
-    apart."""
+    """The block scan tries identity before the bytes: the classes and
+    words of every circuit of raw_and_merged and of its from_json copy
+    are those with no action shared, and so are those of runs whose
+    equal actions are shared, equal but distinct, or one ulp apart."""
     for pair in raw_and_merged:
         for c in pair:
             loaded = circuits.LimitedSpaceCircuit.from_json(c.to_json())
-            assert circuits._scan_weight_runs(c) == _scan_by_bytes(c)
-            assert circuits._scan_weight_runs(loaded) == _scan_by_bytes(c)
+            want = _unshared(c).words(classes=True)
+            for got in (c.words(classes=True), loaded.words(classes=True)):
+                assert got.masks == want.masks
+                assert got.words.tobytes() == want.words.tobytes()
     shared = circuits.GateSpec.rotation("x", 0.5, control=1)
     runs = {
         True: [(shared, shared.with_control(2)),
@@ -953,10 +1106,11 @@ def test_weight_scan_matches_the_bytes_only_scan(raw_and_merged):
         False: [(shared, circuits.GateSpec.rotation("x", math.nextafter(0.5, 1), control=2)),
                 (shared, shared.with_control(1))],
     }
-    for verdict, cases in runs.items():
+    for one_block, cases in runs.items():
         for gates in cases:
             c = circuits.LimitedSpaceCircuit(n=2, gates=gates)
-            assert circuits._scan_weight_runs(c) is verdict is _scan_by_bytes(c)
+            assert _weight_classes(c) is one_block is _weight_classes(_unshared(c))
+            assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
 
 
 def test_with_control_is_the_constructed_gate_sharing_its_action():

@@ -550,14 +550,16 @@ def test_console_script(capsys, monkeypatch):
 def test_synth_is_total_at_large_arity(capsys, tmp_path, monkeypatch):
     """slsb at n = 24, maj at n = 23 and two seeded tables at n = 19 and 22
     synthesize, merge, verify and exit 0, without the words of all 2^n
-    inputs."""
+    inputs: only the n+1 weight classes' words."""
     words = LimitedSpaceCircuit.words
 
-    def by_weight_only(self, by_weight=False):
-        assert by_weight, "words of all 2^n inputs"
-        return words(self, by_weight)
+    def classes_only(self, classes=False):
+        assert classes, "words of all 2^n inputs"
+        found = words(self, classes)
+        assert found.masks == ((1 << self.n) - 1,), "classes finer than the weights"
+        return found
 
-    monkeypatch.setattr(LimitedSpaceCircuit, "words", by_weight_only)
+    monkeypatch.setattr(LimitedSpaceCircuit, "words", classes_only)
     targets = [["--fn", "slsb", "--n", "24"], ["--fn", "maj", "--n", "23"]]
     for n, seed in ((19, 1919), (22, 2222)):
         values = tuple(int(v) for v in np.random.default_rng(seed).integers(0, 2, n + 1))

@@ -191,6 +191,29 @@ def test_mc_memory_does_not_grow_with_the_gate_count():
     assert peak < 32 * 2**20
 
 
+def test_simulating_a_wide_circuit_file_builds_no_per_input_words(tmp_path):
+    """asp and noisy_asp_mc of a slsb_true(20) circuit file read 40 class
+    words: the peak stays below 32 MB, where the words of all 2^20 inputs
+    alone took 64 MB (190 MB in all).  The seeded estimate is the one the
+    per-input words gave."""
+    path = tmp_path / "slsb20.json"
+    circuits.slsb_true(20).save(path)
+    f = boolfun.slsb(20)
+    tracemalloc.start()
+    try:
+        c = circuits.LimitedSpaceCircuit.load(path)
+        result = simulate.asp(c, f)
+        mc = simulate.noisy_asp_mc(c, f, 0.01, 20000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c.words(classes=True).words) == 40 and c._words is None
+    assert peak < 32 * 2**20
+    assert result.classification is simulate.Classification.TRUE_IMPL
+    assert repr(result.asp) == "0.9999999999999983"
+    assert mc == 0.7268
+
+
 def _mc_one_draw(c, f, epsilon, shots, seed):
     """noisy_asp_mc drawing all shots as one array: the reference for a
     count that fits in one chunk."""
