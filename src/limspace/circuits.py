@@ -352,9 +352,12 @@ def _word_classes(c: "LimitedSpaceCircuit") -> WordClasses:
     block so far holds whole or misses.  The words live in one
     (2, 2, d_1, ..., d_m) array, axis j counting the set bits of atom j;
     controls no block has touched are no axis.  A block first refines the
-    atoms (_refine), then applies A, for t = 1..|block|, to the classes
-    with at least t of its controls set: basic views of one axis when the
-    block is one atom, as every block of a compile_qsp circuit is.
+    atoms (_refine), so that each atom is inside it or outside it.  Then,
+    atom after atom inside it, A goes for t = 1..|atom| to the classes
+    with at least t of that atom's controls set, a basic view of its axis.
+    A class with k_j of the block's controls set in atom j so gets A
+    sum_j k_j times in a row.  Every block of a compile_qsp circuit is one
+    atom.
     """
     w = np.zeros((2, 2), dtype=complex)
     w[0, 0] = w[1, 1] = 1
@@ -386,23 +389,14 @@ def _word_classes(c: "LimitedSpaceCircuit") -> WordClasses:
                     break
             block |= bit
             i += 1
-        size = block.bit_count()
-        if atoms and atoms[0] == block:
-            # Every block of a compile_qsp circuit but its first: slices
-            # of the first axis, with no index to build.
-            for t in range(1, size + 1):
-                v = w[:, :, t:]
-                v[...] = np.einsum("ij,jk...->ik...", action, v)
-            continue
         if block not in atoms:
             w, atoms = _refine(w, atoms, block)
-        if block in atoms:
-            head = (slice(None),) * (2 + atoms.index(block))
-            for t in range(1, size + 1):
-                v = w[head + (slice(t, None),)]
-                v[...] = np.einsum("ij,jk...->ik...", action, v)
-        else:
-            w = _apply_across(w, atoms, block, action)
+        for j, atom in enumerate(atoms):
+            if atom & block:
+                head = (slice(None),) * (2 + j)
+                for t in range(1, atom.bit_count() + 1):
+                    v = w[head + (slice(t, None),)]
+                    v[...] = np.einsum("ij,jk...->ik...", action, v)
     words = np.ascontiguousarray(w.reshape(2, 2, -1).transpose(2, 0, 1))
     return WordClasses(c.n, tuple(atoms), _frozen(words))
 
@@ -431,22 +425,6 @@ def _refine(w: np.ndarray, atoms: list[int], block: int) -> tuple[np.ndarray, li
         w = np.broadcast_to(w[..., None], w.shape + (fresh.bit_count() + 1,)).copy()
         out.append(fresh)
     return w, out
-
-
-def _apply_across(w: np.ndarray, atoms: list[int], block: int, action: np.ndarray) -> np.ndarray:
-    """w after a block that spans several atoms: each class gets action
-    once for each of block's controls it has set, by gathers on the
-    classes with at least t of them, t = 1..|block|."""
-    counts = np.zeros(w.shape[2:], dtype=int)
-    for j, atom in enumerate(atoms):
-        if atom & block:
-            counts += np.arange(w.shape[2 + j]).reshape((-1,) + (1,) * (len(atoms) - 1 - j))
-    counts = counts.ravel()
-    flat = w.reshape(2, 2, -1)
-    for t in range(1, block.bit_count() + 1):
-        at = np.flatnonzero(counts >= t)
-        flat[:, :, at] = np.einsum("ij,jk...->ik...", action, flat[:, :, at])
-    return flat.reshape(w.shape)
 
 
 def _defect(a: WordClasses, b: WordClasses) -> float:
