@@ -29,7 +29,8 @@ and slsb_relative files with seeded relabeled controls at n = 12..16, of
 ip_circuit files at n = 12, 14 and 16 relabeled pair to pair, and of two
 hand-made n = 6 circuits, one whose later blocks cut and span the atoms of
 a full signal block and one with runs on repeated controls; crossover;
-usage and argparse errors, and simulate of malformed circuit files (a
+usage and argparse errors (a negative --seed among them, with and
+without --eps/--shots), and simulate of malformed circuit files (a
 float or bool control, a text angle, a float n, a text gate list, a
 phase_convention that is a huge integer or a list).  It takes a few minutes.
 
@@ -292,6 +293,8 @@ def corpus(workdir):
         maj3 + ["--eps", "0.1", "--shots", "-5"],
         maj3 + ["--eps", "0.1", "--shots", "0"],
         maj3 + ["--shots", "100"],
+        maj3 + ["--seed", "-1"],
+        maj3 + ["--eps", "0.1", "--shots", "10", "--seed", "-1"],
         ["synth", "--method", "direct", "--fn", "slsb", "--n", "1"],
         ["synth", "--fn", "maj", "--n", "3", "--asp-tol", "nan"],
         ["frobnicate"],

@@ -454,8 +454,7 @@ class LimitedSpaceCircuit:
     n: int
     gates: tuple[GateSpec, ...]
     phase_convention: str = ""
-    _words: np.ndarray | None = field(default=None, init=False, repr=False)
-    _classes: "WordClasses | None" = field(default=None, init=False, repr=False)
+    _classes: WordClasses | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not _is_int(self.n):
@@ -474,24 +473,18 @@ class LimitedSpaceCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def words(self, classes: bool = False):
-        """V(x) for every input, shape (2^n, 2, 2), index sum x_i 2^(i-1).
+    def words(self) -> WordClasses:
+        """The circuit's words, one per class of inputs that get bitwise
+        the same word, and each input's class.
 
-        With classes, the words as a WordClasses instead: one word per
-        class of inputs that get bitwise the same word, and each input's
-        class.  Both forms are computed on the first call and kept; every
-        call returns the same read-only object.  The classes come from
-        _word_classes, and the 2^n words are gathered from them, so every
-        input's word is bitwise the one its own gate products give.
+        Computed by _word_classes on the first call and kept; every call
+        returns the same read-only object.  Input x (index sum x_i
+        2^(i-1)) has the word w.words[w.input_classes()[x]], bitwise the
+        one its own gate products give.
         """
         if self._classes is None:
             object.__setattr__(self, "_classes", _word_classes(self))
-        found = self._classes
-        if classes:
-            return found
-        if self._words is None:
-            object.__setattr__(self, "_words", _frozen(found.words[found.input_classes()]))
-        return self._words
+        return self._classes
 
     def to_json_dict(self) -> dict:
         return {
@@ -860,7 +853,7 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
     merged = LimitedSpaceCircuit(
         n=c.n, gates=tuple(gates), phase_convention=c.phase_convention
     )
-    defect = _defect(merged.words(classes=True), c.words(classes=True))
+    defect = _defect(merged.words(), c.words())
     if defect > 1e-10:
         raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
     return merged

@@ -4,12 +4,13 @@ One binary with subcommands.  Exit codes: 0 on success, 1 when a
 verification gate fails (synthesis residuals, or a synthesized circuit
 whose ASP is below 1 - 1e-9), 2 on usage or IO problems.  Usage
 problems include an --eps outside [0, 1) (NaN included), --shots below
-1 or without --eps, and direct synthesis at an arity its construction
-lacks (slsb at n = 1).  A reader that closes stdout early
-(`limspace simulate ... | head -1`) is an IO problem: exit 2, without
-a traceback.  The one random draw, the Monte Carlo estimate
-of `simulate --shots`, is seeded by --seed (default 20240614), which only
-`simulate` accepts.  Output depends only on the command line.
+1 or without --eps, a negative --seed (with or without --shots), and
+direct synthesis at an arity its construction lacks (slsb at n = 1).  A
+reader that closes stdout early (`limspace simulate ... | head -1`) is
+an IO problem: exit 2, without a traceback.  The one random draw, the
+Monte Carlo estimate of `simulate --shots`, is seeded by --seed
+(default 20240614), which only `simulate` accepts.  Output depends only
+on the command line.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             raise UsageError("--shots needs --eps")
         if cfg.shots < 1:
             raise UsageError("--shots must be at least 1")
+    if cfg.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     try:
         circuit = LimitedSpaceCircuit.load(cfg.circuit)
     except OSError as err:

@@ -171,46 +171,43 @@ def solve_ab(
     Targets are A(phi_w) = 1 - f(w) and B(phi_w) = f(w), with a zero
     derivative of both at every weight point.  Above the least degree the
     system has more coefficients than independent rows, and the
-    minimum-norm solution is taken.  One check, _check_targets, refuses a
-    pair that misses any target by more than 1e-10; on the majority
-    schedule B is A mirrored, so a target that is not anti-symmetric
-    misses B by 1.  Whether the pair completes (max A^2 + B^2 <= 1) is
-    complete_cd's decision.  A target with f(0^n) = 1 is complemented
-    first; callers account for the flip by checking f(0^n) themselves.
+    minimum-norm solution is taken.  One check refuses a pair whose rows
+    miss their right-hand sides by more than 1e-10.  On the majority
+    schedule B is A mirrored, and its rows are built for the check alone,
+    so a target that is not anti-symmetric misses B by 1.  Whether the
+    pair completes (max A^2 + B^2 <= 1) is complete_cd's decision.  A
+    target with f(0^n) = 1 is complemented first; callers account for the
+    flip by checking f(0^n) themselves.
     """
-    values = list(f.by_weight)
+    values = np.asarray(f.by_weight, dtype=float)
     if values[0] == 1:
-        values = [1 - v for v in values]
-    n = f.n
-    w = np.arange(n + 1)
-    phis = params.phi(w)
-    a_target = 1.0 - np.asarray(values, dtype=float)
-    b_target = np.asarray(values, dtype=float)
-
-    a = _solve_pinned("cos", phis, a_target, params.L)
+        values = 1.0 - values
+    phis = params.phi(np.arange(f.n + 1))
+    rhs_a = np.concatenate([1.0 - values, np.zeros(f.n + 1)])
+    rhs_b = np.concatenate([values, np.zeros(f.n + 1)])
+    rows_a = _pinned_rows("cos", phis, params.L)
+    rows_b = _pinned_rows("sin", phis, params.L)
+    a = np.linalg.lstsq(rows_a, rhs_a, rcond=None)[0]
     if params.maj_symmetry:
         # B(t) = A(-it): in half-angle series b_k = (-1)^k a_k.
-        signs = (-1.0) ** np.arange(a.coeffs.size)
-        b = TrigPolynomial("sin", signs * a.coeffs)
+        b = (-1.0) ** np.arange(a.size) * a
     else:
-        b = _solve_pinned("sin", phis, b_target, params.L)
+        b = np.linalg.lstsq(rows_b, rhs_b, rcond=None)[0]
+    worst = max(float(np.max(np.abs(rows_a @ a - rhs_a))),
+                float(np.max(np.abs(rows_b @ b - rhs_b))))
+    if worst > _TARGET_TOL:
+        raise SolveError(f"constraint residual {worst:.3e} exceeds {_TARGET_TOL:.1e}")
+    return TrigPolynomial("cos", a), TrigPolynomial("sin", b)
 
-    _check_targets(a, b, phis, a_target, b_target)
-    return a, b
 
-
-def _solve_pinned(
-    kind: str, phis: np.ndarray, targets: np.ndarray, L: int
-) -> TrigPolynomial:
-    """Values plus zero derivative at every weight point, minimum-norm;
-    solve_ab checks the fit."""
+def _pinned_rows(kind: str, phis: np.ndarray, L: int) -> np.ndarray:
+    """The rows pinning a kind series of degree L at phis: its values,
+    then its derivatives."""
     size = (L + 1) // 2
     other, slope = _DERIVATIVE[kind]
     harmonics = 2.0 * np.arange(size) + 1.0
     derivs = _half_angle_basis(other, phis, size) * (slope * harmonics)
-    rows = np.vstack([_half_angle_basis(kind, phis, size), derivs])
-    rhs = np.concatenate([targets, np.zeros(phis.size)])
-    return TrigPolynomial(kind, np.linalg.lstsq(rows, rhs, rcond=None)[0])
+    return np.vstack([_half_angle_basis(kind, phis, size), derivs])
 
 
 def _square_sum(*polys: TrigPolynomial) -> np.ndarray:
@@ -253,17 +250,6 @@ def _minimax_polish(*args, **kwargs):
     installs its call counters.
     """
     raise NotImplementedError("the minimax polish was removed; nothing calls it")
-
-
-def _check_targets(a, b, phis, a_target, b_target) -> None:
-    worst = max(
-        float(np.max(np.abs(a(phis) - a_target))),
-        float(np.max(np.abs(b(phis) - b_target))),
-        float(np.max(np.abs(a.derivative(phis)))),
-        float(np.max(np.abs(b.derivative(phis)))),
-    )
-    if worst > _TARGET_TOL:
-        raise SolveError(f"constraint residual {worst:.3e} exceeds {_TARGET_TOL:.1e}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Exact simulation, classification, noise analysis, and certificates.
 
 Evaluation reads the 2x2 words V(x) on the circuit's word classes
-(LimitedSpaceCircuit.words(classes=True)): one word per class of inputs
-that get bitwise the same word, and each input's class.  The ASP
-of a circuit against a target function is the mean over inputs of the
-probability of measuring f(x).  A toy noise model lets each entangling
+(LimitedSpaceCircuit.words()): one word per class of inputs that get
+bitwise the same word, and each input's class.  The ASP of a circuit
+against a target function is the mean over inputs of the probability of
+measuring f(x).  A toy noise model lets each entangling
 gate fail independently; any failure scrambles the output bit, which
 reproduces the closed form (1 + (1-eps)^L) / 2 for exact circuits.  The
 linearity certificate extracts the phase data behind the determinant
@@ -134,7 +134,7 @@ def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     """
     if c.n != f.n:
         raise ValueError(f"circuit has n={c.n} but function has n={f.n}")
-    classes = c.words(classes=True)
+    classes = c.words()
     words = classes.words
     row = classes.input_classes()
     truth = f.truth
@@ -185,10 +185,8 @@ def noisy_asp_mc(
     gates fails, decided by one uniform per shot.  A clean run samples
     the exact p_one(x); a failed one outputs a fair bit.  Shots are drawn
     from one generator in chunks of _SHOT_CHUNK, so memory is bounded
-    whatever the count.  Seeded estimates differ from those of the
-    earlier one-coin-per-gate draw, which had the same distribution.
-    p_one is computed once per word class and read through the drawn
-    input's class.
+    whatever the count.  p_one is computed once per word class and read
+    through the drawn input's class.
     """
     NoiseModel(epsilon)
     if c.n != f.n:
@@ -196,7 +194,7 @@ def noisy_asp_mc(
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = np.random.default_rng(seed)
-    classes = c.words(classes=True)
+    classes = c.words()
     p_one = np.abs(classes.words[:, 1, 0]) ** 2
     row = classes.input_classes()
     p_clean = (1.0 - epsilon) ** entangling_count(c)
@@ -267,22 +265,25 @@ def linearity_certificate(c: LimitedSpaceCircuit) -> DeterminantCertificate:
     """Extract the affine function computed by an X-or-identity circuit.
 
     Every word must be exactly X or I up to _CLASSIFY_TOL; otherwise the
-    certificate does not apply and NotPhaseless is raised.  The
-    extracted truth table is checked to be affine and the per-variable
-    determinant phases are verified against it.  A failure of either
-    check would contradict the determinant argument and raises
-    TheoryViolation.
+    certificate does not apply and NotPhaseless is raised, naming the
+    first input of the worst word class.  The distances to X and I are
+    taken once per word class, and the truth bit is spread over the
+    inputs through their classes.  The extracted truth table is checked
+    to be affine and the per-variable determinant phases are verified
+    against it.  A failure of either check would contradict the
+    determinant argument and raises TheoryViolation.
     """
-    words = c.words()
+    classes = c.words()
+    words = classes.words
+    row = classes.input_classes()
     dist_x = np.abs(words - _X).max(axis=(1, 2))
     dist_i = np.abs(words - _I2).max(axis=(1, 2))
     nearest = np.minimum(dist_x, dist_i)
-    if np.max(nearest) > _CLASSIFY_TOL:
-        worst = int(np.argmax(nearest))
-        raise NotPhaseless(
-            f"word at input index {worst} is {nearest[worst]:.3e} from both X and I"
-        )
-    truth = (dist_x <= _CLASSIFY_TOL).astype(np.uint8)
+    far = np.max(nearest)
+    if far > _CLASSIFY_TOL:
+        worst = int(np.argmax((nearest == far)[row]))
+        raise NotPhaseless(f"word at input index {worst} is {far:.3e} from both X and I")
+    truth = (dist_x <= _CLASSIFY_TOL).astype(np.uint8)[row]
     f = BooleanFunction(c.n, truth)
     witness = affine_test(f)
     if witness is None:

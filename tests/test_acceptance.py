@@ -278,7 +278,9 @@ def test_criterion_7_determinant_certificates():
         except simulate.NotPhaseless as err:
             bad.append(f"trial {trial}: unexpectedly judged phased: {err}")
             break
-        truth = (np.abs(c.words()[:, 1, 0]) ** 2 > 0.5).astype(np.uint8)
+        found = c.words()
+        words = found.words[found.input_classes()]
+        truth = (np.abs(words[:, 1, 0]) ** 2 > 0.5).astype(np.uint8)
         if not np.array_equal(cert.witness.truth(), truth):
             bad.append(f"trial {trial}: witness does not match the circuit")
             break

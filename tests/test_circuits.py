@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -149,6 +150,12 @@ def test_gate_actions():
     assert np.allclose(rz, np.diag([np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi)]))
 
 
+def _input_words(c):
+    """Every input's word, shape (2^n, 2, 2), gathered from c's class words."""
+    found = c.words()
+    return found.words[found.input_classes()]
+
+
 def _word(c, bits):
     """V(x) for one input by a per-input gate product, the reference for words()."""
     v = np.eye(2, dtype=complex)
@@ -161,7 +168,7 @@ def _word(c, bits):
 def test_circuit_word_and_words_agree():
     empty = circuits.LimitedSpaceCircuit(n=3, gates=())
     for c in (empty, circuits.slsb_relative(3), circuits.builtin_slsb3_fig1()):
-        allwords = c.words()
+        allwords = _input_words(c)
         for idx in range(8):
             bits = [(idx >> i) & 1 for i in range(3)]
             assert np.allclose(allwords[idx], _word(c, bits), atol=1e-12)
@@ -222,7 +229,7 @@ def test_json_round_trip_is_bit_exact():
             if h.matrix is not None:
                 assert np.array_equal(g.matrix, h.matrix)
         assert again.to_json() == text
-        assert np.array_equal(again.words(), c.words())
+        assert np.array_equal(_input_words(again), _input_words(c))
 
 
 def test_signed_zero_and_integer_angles_round_trip_byte_identically(tmp_path):
@@ -266,7 +273,7 @@ def test_slsb_relative_counts_and_pattern():
 
 def test_slsb_relative_word_cycle():
     c = circuits.slsb_relative(8)
-    words = c.words()
+    words = _input_words(c)
     weights = np.bitwise_count(np.arange(1 << 8, dtype=np.uint32))
     h = circuits.GateSpec.named("h").action
     xh = circuits.GateSpec.named("x").action @ h
@@ -409,7 +416,7 @@ def test_merge_preserves_every_word(n, raw):
     c = circuits.LimitedSpaceCircuit(n=n, gates=tuple(gates))
     merged = circuits.merge_adjacent(c)
     assert len(merged) <= len(c)
-    assert np.max(np.abs(merged.words() - c.words())) <= 1e-10
+    assert np.max(np.abs(_input_words(merged) - _input_words(c))) <= 1e-10
 
 
 def _compiled(spec, params):
@@ -426,7 +433,7 @@ def test_compile_qsp_majority():
         assert circuits.entangling_count(c) == n * params.L
         weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         target = qsp.reconstruct(xi, params.phi(weights))
-        assert np.max(np.abs(c.words() - target)) <= 1e-8
+        assert np.max(np.abs(_input_words(c) - target)) <= 1e-8
         # Majority angles come in equal adjacent pairs, so the z-rotations
         # between paired layers cancel and the merge fuses their signal
         # blocks: n(n+1) of the n(2n+1) entangling gates remain.
@@ -443,7 +450,7 @@ def test_compile_qsp_general_path():
     assert circuits.entangling_count(c) == 4 * params.L
     result = simulate.asp(c, boolfun.slsb(4))
     assert result.asp == pytest.approx(1.0, abs=1e-9)
-    words = c.words()
+    words = _input_words(c)
     weights = np.bitwise_count(np.arange(16, dtype=np.uint32))
     for idx in range(16):
         target = qsp.reconstruct(xi, float(params.phi(int(weights[idx]))))
@@ -475,7 +482,7 @@ def test_merged_majority_keeps_its_rotation_records():
         phase_convention=merged.phase_convention,
     )
     assert merged.to_json() == unshared.to_json() == json.dumps(merged.to_json_dict(), indent=2)
-    assert np.array_equal(merged.words(), unshared.words())
+    assert np.array_equal(_input_words(merged), _input_words(unshared))
 
 
 def test_compile_qsp_complements_functions_true_on_the_empty_word():
@@ -496,22 +503,27 @@ def test_compile_qsp_rejects_mismatched_degree():
 
 
 def test_words_are_computed_once_and_read_only():
+    """words() is one memoized, frozen WordClasses with read-only words,
+    the circuit's only memo field, and gathered to every input it is
+    bitwise the mask-per-gate kernel's words."""
     c = circuits.slsb_true(4)
-    words = c.words()
-    assert words is c.words()
-    assert words.shape == (16, 2, 2)
-    assert words.flags.c_contiguous
+    found = c.words()
+    assert isinstance(found, circuits.WordClasses)
+    assert found is c.words()
     simulate.asp(c, boolfun.slsb(4))
-    assert c.words() is words
-    found = c.words(classes=True)
-    assert found is c.words(classes=True)
+    simulate.noisy_asp_mc(c, boolfun.slsb(4), 0.1, 10, seed=0)
+    assert c.words() is found
+    memo = [f.name for f in dataclasses.fields(c) if not f.init]
+    assert memo == ["_classes"] and set(vars(c)) == {"n", "gates", "phase_convention", *memo}
     reps = found.words
     assert reps.shape == (8, 2, 2)
     assert reps.flags.c_contiguous
-    assert reps[found.input_classes()].tobytes() == words.tobytes()
-    for computed in (words, reps):
-        with pytest.raises(ValueError):
-            computed[0, 0, 0] = 2.0
+    gathered = reps[found.input_classes()]
+    assert gathered.tobytes() == _words_mask_per_gate(c).tobytes()
+    with pytest.raises(ValueError):
+        reps[0, 0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        found.words = gathered
     with pytest.raises(ValueError):
         circuits.GateSpec.named("h").action[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -525,7 +537,7 @@ def test_words_are_computed_once_and_read_only():
 
 
 def _words_mask_per_gate(c):
-    """The words() kernel that rebuilt each gate's control mask."""
+    """The per-input word kernel that rebuilt each gate's control mask."""
     idx = np.arange(1 << c.n)
     out = np.broadcast_to(np.eye(2, dtype=complex), (idx.size, 2, 2)).copy()
     for g in c.gates:
@@ -538,7 +550,7 @@ def _words_mask_per_gate(c):
 
 
 def _words_strided(c):
-    """The words() kernel that updated, per gate, the strided view of a
+    """The per-input word kernel that updated, per gate, the strided view of a
     (2, 2, 2^n) buffer holding the inputs whose control bit is set: a
     second reference, faster than _words_mask_per_gate at large n."""
     w = np.zeros((2, 2, 1 << c.n), dtype=complex)
@@ -660,15 +672,16 @@ def test_words_are_bitwise_the_mask_per_gate_kernel(raw_and_merged, wide_circuit
 
 
 def _assert_class_words(c, want):
-    """words() and the class words gathered to every input have the bytes want."""
-    found = c.words(classes=True)
+    """The class words gathered to every input have the bytes want, and
+    a second words() call returns the same object."""
+    found = c.words()
     assert found.words[found.input_classes()].tobytes() == want
-    assert c.words().tobytes() == want
+    assert c.words() is found
 
 
 def _assert_words_are_the_reference(c):
-    """words(), the class words gathered to every input and the strided
-    kernel give the mask-per-gate kernel's bytes."""
+    """The class words gathered to every input and the strided kernel
+    give the mask-per-gate kernel's bytes."""
     want = _words_mask_per_gate(c).tobytes()
     _assert_class_words(c, want)
     assert _words_strided(c).tobytes() == want
@@ -701,22 +714,22 @@ def test_class_counts_of_each_family():
     circuit, 2n for slsb_true and slsb_relative, 2^n for ip_circuit and 6
     for fig1 (atoms {1, 2} and {3}), whatever the controls' labels."""
     rng = np.random.default_rng(2801)
-    assert len(circuits.LimitedSpaceCircuit(3, ()).words(classes=True).words) == 1
+    assert len(circuits.LimitedSpaceCircuit(3, ()).words().words) == 1
     lone = circuits.LimitedSpaceCircuit(2, (circuits.GateSpec.named("h"),))
-    assert lone.words(classes=True).masks == ()
-    assert len(lone.words(classes=True).input_classes()) == 4
+    assert lone.words().masks == ()
+    assert len(lone.words().input_classes()) == 4
     for n in (3, 6):
         spec = boolfun.slsb_spec(n)
         raw = circuits.compile_qsp(spec, *reversed(qsp.synthesize(spec)))
         for c in (raw, circuits.merge_adjacent(raw)):
-            assert len(c.words(classes=True).words) == n + 1
+            assert len(c.words().words) == n + 1
     for n in range(2, 15):
         perm = rng.permutation(n)
         for build in (circuits.slsb_true, circuits.slsb_relative):
-            assert len(_relabeled(build(n), perm).words(classes=True).words) == 2 * n
+            assert len(_relabeled(build(n), perm).words().words) == 2 * n
         if n % 2 == 0:
-            assert len(_relabeled(circuits.ip_circuit(n), perm).words(classes=True).words) == 1 << n
-    fig1 = circuits.builtin_slsb3_fig1().words(classes=True)
+            assert len(_relabeled(circuits.ip_circuit(n), perm).words().words) == 1 << n
+    fig1 = circuits.builtin_slsb3_fig1().words()
     assert fig1.masks == (0b011, 0b100) and len(fig1.words) == 6
 
 
@@ -768,9 +781,9 @@ def test_class_kernel_on_drawn_runs(pair):
     want = [_words_mask_per_gate(c) for c in pair]
     for c, words in zip(pair, want):
         _assert_class_words(c, words.tobytes())
-    got = circuits._defect(a.words(classes=True), b.words(classes=True))
+    got = circuits._defect(a.words(), b.words())
     assert got == np.max(np.abs(want[0] - want[1]))
-    assert circuits._defect(a.words(classes=True), a.words(classes=True)) == 0.0
+    assert circuits._defect(a.words(), a.words()) == 0.0
 
 
 def test_hand_built_families_referee_up_to_arity_14(monkeypatch, tmp_path):
@@ -793,6 +806,33 @@ def test_hand_built_families_referee_up_to_arity_14(monkeypatch, tmp_path):
         assert _words_strided(c).tobytes() == words.tobytes()
         _referee_class_path(c, f, monkeypatch, tmp_path / "rows.csv", words)
         assert simulate.asp(c, f).asp == pytest.approx(1.0, abs=1e-12)
+
+
+def _not_phaseless_reference(c):
+    """linearity_certificate's refusal as the argmax over every input's
+    word gives it."""
+    words = _input_words(c)
+    nearest = np.minimum(np.abs(words - circuits._NAMED["x"]).max(axis=(1, 2)),
+                         np.abs(words - np.eye(2)).max(axis=(1, 2)))
+    worst = int(np.argmax(nearest))
+    return f"word at input index {worst} is {nearest[worst]:.3e} from both X and I"
+
+
+def test_not_phaseless_names_the_input_the_per_input_words_name():
+    """The certificate's refusal, read on word classes, names the input
+    and distance of the argmax over every input's word: slsb_true and
+    slsb_relative with seeded relabeled controls at n = 3..14, and seeded
+    random circuits at n = 1..8."""
+    rng = np.random.default_rng(2901)
+    cases = []
+    for n in range(3, 15):
+        perm = rng.permutation(n)
+        cases += [_relabeled(build(n), perm) for build in (circuits.slsb_true, circuits.slsb_relative)]
+    cases += [_random_circuit(rng, n) for n in range(1, 9) for _ in range(3)]
+    for c in cases:
+        with pytest.raises(simulate.NotPhaseless) as refused:
+            simulate.linearity_certificate(c)
+        assert str(refused.value) == _not_phaseless_reference(c)
 
 
 def _csv_rows(n, truth, p_one):
@@ -913,12 +953,12 @@ def _one_class_per_input(n, words):
 
 def _weight_classes(c):
     """Whether c's classes are its n+1 weights: one atom holding every control."""
-    return c.words(classes=True).masks == ((1 << c.n) - 1,)
+    return c.words().masks == ((1 << c.n) - 1,)
 
 
 def _referee_class_path(c, f, monkeypatch, path, words=None):
     """c's class-word results against its words from the mask-per-gate
-    kernel: the gathered class words, words(), the ASP, the class, the CSV
+    kernel: the gathered class words, the ASP, the class, the CSV
     bytes and a seeded Monte Carlo estimate read through one class per
     input."""
     if words is None:
@@ -932,7 +972,7 @@ def _referee_class_path(c, f, monkeypatch, path, words=None):
     mc = simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n)
     per_input = _one_class_per_input(c.n, words)
     with monkeypatch.context() as m:
-        m.setattr(circuits.LimitedSpaceCircuit, "words", lambda self, classes=False: per_input)
+        m.setattr(circuits.LimitedSpaceCircuit, "words", lambda self: per_input)
         assert simulate.noisy_asp_mc(c, f, 0.1, 3000, seed=c.n) == mc
 
 
@@ -949,7 +989,7 @@ def test_weight_classes_referee_small_circuits(raw_and_merged, monkeypatch, tmp_
     assert sum(map(_weight_classes, every)) == len(every) - 6
     kinds = set()
     for c in every:
-        computed = boolfun.BooleanFunction(c.n, np.abs(c.words()[:, 1, 0]) ** 2 > 0.5)
+        computed = boolfun.BooleanFunction(c.n, np.abs(_input_words(c)[:, 1, 0]) ** 2 > 0.5)
         split = boolfun.BooleanFunction(c.n, rng.integers(0, 2, 1 << c.n))
         for f in (computed, split):
             _referee_class_path(c, f, monkeypatch, tmp_path / "rows.csv")
@@ -986,7 +1026,7 @@ def test_weight_words_match_the_angle_reconstruction():
         raw = circuits.compile_qsp(spec, xi, params)
         for c in (raw, circuits.merge_adjacent(raw)):
             assert _weight_classes(c)
-            assert np.max(np.abs(c.words(classes=True).words - want)) <= 1e-12, spec
+            assert np.max(np.abs(c.words().words - want)) <= 1e-12, spec
 
 
 def test_blocks_that_cut_the_weights_refine_the_classes(monkeypatch, tmp_path):
@@ -1012,7 +1052,7 @@ def test_blocks_that_cut_the_weights_refine_the_classes(monkeypatch, tmp_path):
         c = circuits.LimitedSpaceCircuit(5, tuple(gates[:first + 1] + [gate] + gates[first + 2:]))
         merged = circuits.merge_adjacent(c)
         for circuit in (c, merged):
-            assert len(circuit.words(classes=True).words) > 6, why
+            assert len(circuit.words().words) > 6, why
             _referee_class_path(circuit, f, monkeypatch, tmp_path / "rows.csv")
 
 
@@ -1034,17 +1074,18 @@ def test_broken_merge_of_a_certified_circuit_still_raises(monkeypatch):
     checked = []
     words = circuits.LimitedSpaceCircuit.words
 
-    def spy(self, classes=False):
-        checked.append((self, classes))
-        return words(self, classes)
+    def spy(self):
+        checked.append((self, words(self)))
+        return checked[-1][1]
 
     monkeypatch.setattr(circuits, "_pass_same_control_runs", broken)
     monkeypatch.setattr(circuits.LimitedSpaceCircuit, "words", spy)
     with pytest.raises(RuntimeError, match="merge changed the circuit, defect"):
         circuits.merge_adjacent(raw)
     assert dropped
-    assert [classes for _, classes in checked] == [True, True]
+    assert [type(found) for _, found in checked] == [circuits.WordClasses] * 2
     merged = checked[0][0]
+    assert checked[1][0] is raw
     assert merged is not raw and _weight_classes(merged) and _weight_classes(raw)
 
 
@@ -1095,8 +1136,8 @@ def test_weight_scan_matches_the_bytes_only_scan(raw_and_merged):
     for pair in raw_and_merged:
         for c in pair:
             loaded = circuits.LimitedSpaceCircuit.from_json(c.to_json())
-            want = _unshared(c).words(classes=True)
-            for got in (c.words(classes=True), loaded.words(classes=True)):
+            want = _unshared(c).words()
+            for got in (c.words(), loaded.words()):
                 assert got.masks == want.masks
                 assert got.words.tobytes() == want.words.tobytes()
     shared = circuits.GateSpec.rotation("x", 0.5, control=1)
@@ -1110,7 +1151,7 @@ def test_weight_scan_matches_the_bytes_only_scan(raw_and_merged):
         for gates in cases:
             c = circuits.LimitedSpaceCircuit(n=2, gates=gates)
             assert _weight_classes(c) is one_block is _weight_classes(_unshared(c))
-            assert c.words().tobytes() == _words_mask_per_gate(c).tobytes()
+            assert _input_words(c).tobytes() == _words_mask_per_gate(c).tobytes()
 
 
 def test_with_control_is_the_constructed_gate_sharing_its_action():

@@ -415,6 +415,19 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+def test_negative_seed_is_a_usage_error(capsys, tmp_path):
+    """--seed -1 exits 2 with one error line, with or without --eps and
+    --shots; --seed 0 is a seed."""
+    path = str(tmp_path / "slsb3.json")
+    _run(capsys, ["synth", "--fn", "slsb", "--n", "3", "--method", "direct", "--out", path])
+    sim = ["simulate", "--circuit", path, "--fn", "slsb", "--n", "3"]
+    for noise in ([], ["--eps", "0.1"], ["--eps", "0.1", "--shots", "10"]):
+        assert _run(capsys, sim + noise + ["--seed", "-1"]) == (
+            2, "", "error: --seed must be nonnegative\n"), noise
+        code, out, err = _run(capsys, sim + noise + ["--seed", "0"])
+        assert (code, err) == (0, "") and out, noise
+
+
 def test_signed_hex_table_is_a_usage_error(capsys):
     for table in ("-6", "+6", " -E8"):
         code, out, err = _run(capsys, ["bounds", "--table", table, "--n", "2"])
@@ -549,17 +562,19 @@ def test_console_script(capsys, monkeypatch):
 
 def test_synth_is_total_at_large_arity(capsys, tmp_path, monkeypatch):
     """slsb at n = 24, maj at n = 23 and two seeded tables at n = 19 and 22
-    synthesize, merge, verify and exit 0, without the words of all 2^n
-    inputs: only the n+1 weight classes' words."""
+    synthesize, merge, verify and exit 0 on the words of the n+1 weight
+    classes: raw and merged circuit in the merge check, then asp."""
     words = LimitedSpaceCircuit.words
+    calls = []
 
-    def classes_only(self, classes=False):
-        assert classes, "words of all 2^n inputs"
-        found = words(self, classes)
+    def weights_only(self):
+        found = words(self)
         assert found.masks == ((1 << self.n) - 1,), "classes finer than the weights"
+        assert len(found.words) == self.n + 1
+        calls.append(self.n)
         return found
 
-    monkeypatch.setattr(LimitedSpaceCircuit, "words", classes_only)
+    monkeypatch.setattr(LimitedSpaceCircuit, "words", weights_only)
     targets = [["--fn", "slsb", "--n", "24"], ["--fn", "maj", "--n", "23"]]
     for n, seed in ((19, 1919), (22, 2222)):
         values = tuple(int(v) for v in np.random.default_rng(seed).integers(0, 2, n + 1))
@@ -571,3 +586,4 @@ def test_synth_is_total_at_large_arity(capsys, tmp_path, monkeypatch):
         assert (code, err) == (0, ""), target[:2]
         asp_line = out.splitlines()[2]
         assert float(asp_line.removeprefix("ASP = ")) >= 1.0 - 1e-9, target[:2]
+    assert calls == [int(target[-1]) for target in targets for _ in range(3)]

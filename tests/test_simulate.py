@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 from limspace import boolfun, circuits, qsp, simulate
 
 
+def _input_words(c):
+    """Every input's word, shape (2^n, 2, 2), gathered from c's class words."""
+    found = c.words()
+    return found.words[found.input_classes()]
+
+
 def test_classification_labels():
     assert simulate.Classification.TRUE_IMPL.value == "TrueImpl"
     assert simulate.Classification.RELATIVE_PHASE.value == "RelativePhase"
@@ -25,15 +31,15 @@ def test_noise_model_validation():
 
 
 def test_evaluate_single_inputs():
-    # words() is indexed by sum x_i 2^(i-1); entry [1, 0] is the amplitude
-    # of measuring 1 on the work qubit.
+    # Gathered words are indexed by sum x_i 2^(i-1); entry [1, 0] is the
+    # amplitude of measuring 1 on the work qubit.
     empty = circuits.LimitedSpaceCircuit(n=3, gates=())
-    v = empty.words()[0b010]
+    v = _input_words(empty)[0b010]
     assert np.array_equal(v, np.eye(2))
     assert abs(v[1, 0]) ** 2 == 0.0
-    v = circuits.slsb_relative(3).words()[0b011]
+    v = _input_words(circuits.slsb_relative(3))[0b011]
     assert abs(v[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
-    v = circuits.builtin_slsb3_fig1().words()[0b111]
+    v = _input_words(circuits.builtin_slsb3_fig1())[0b111]
     assert abs(v[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -70,14 +76,14 @@ def test_probabilities_stay_in_unit_interval():
 
 def test_words_are_unitary():
     for c in (circuits.slsb_true(5), circuits.ip_circuit(6), circuits.slsb_relative(4)):
-        words = c.words()
+        words = _input_words(c)
         eye = np.eye(2)
         for v in words:
             assert np.max(np.abs(v @ v.conj().T - eye)) <= 1e-10
 
 
 def test_true_words_have_unit_determinant():
-    words = circuits.slsb_true(4).words()
+    words = _input_words(circuits.slsb_true(4))
     dets = np.linalg.det(words)
     assert np.max(np.abs(dets - 1.0)) <= 1e-10
 
@@ -90,7 +96,7 @@ def test_phaseless_words_have_alternating_determinant():
             circuits.GateSpec.named("x", control=3),
         ),
     )
-    dets = np.linalg.det(c.words())
+    dets = np.linalg.det(_input_words(c))
     idx = np.arange(8)
     active = ((idx >> 0) & 1) + ((idx >> 2) & 1)
     assert np.max(np.abs(dets - (-1.0) ** active)) <= 1e-12
@@ -207,7 +213,9 @@ def test_simulating_a_wide_circuit_file_builds_no_per_input_words(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(c.words(classes=True).words) == 40 and c._words is None
+    assert len(c.words().words) == 40
+    # The class words are the only form kept: no field holds per-input words.
+    assert set(vars(c)) == {"n", "gates", "phase_convention", "_classes"}
     assert peak < 32 * 2**20
     assert result.classification is simulate.Classification.TRUE_IMPL
     assert repr(result.asp) == "0.9999999999999983"
@@ -218,7 +226,7 @@ def _mc_one_draw(c, f, epsilon, shots, seed):
     """noisy_asp_mc drawing all shots as one array: the reference for a
     count that fits in one chunk."""
     rng = np.random.default_rng(seed)
-    p_one = np.abs(c.words()[:, 1, 0]) ** 2
+    p_one = np.abs(_input_words(c)[:, 1, 0]) ** 2
     xs = rng.integers(0, 1 << c.n, size=shots)
     clean = rng.random(shots) < (1.0 - epsilon) ** circuits.entangling_count(c)
     clean_bit = rng.random(shots) < p_one[xs]
@@ -301,13 +309,34 @@ def test_certificate_rejects_phased_circuits():
         simulate.linearity_certificate(circuits.slsb_relative(3))
 
 
+def test_certificate_reads_class_words_at_twenty_inputs():
+    """A parity circuit at n = 20 (controlled x on every bit) is certified,
+    and slsb_true(18) refused with its first input of weight two named,
+    each under 40 MB: every input's word at n = 20 alone takes 64 MB."""
+    parity = circuits.LimitedSpaceCircuit(
+        20, tuple(circuits.GateSpec.named("x", control=k) for k in range(1, 21)))
+    true18 = circuits.slsb_true(18)
+    tracemalloc.start()
+    try:
+        cert = simulate.linearity_certificate(parity)
+        with pytest.raises(simulate.NotPhaseless) as refused:
+            simulate.linearity_certificate(true18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert (cert.witness.mask, cert.witness.constant) == ((1 << 20) - 1, 0)
+    assert cert.gammas == pytest.approx((math.pi,) * 20)
+    assert str(refused.value) == "word at input index 3 is 1.000e+00 from both X and I"
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_random_phaseless_circuits_are_always_affine(rnd):
     n = rnd.randint(1, 4)
     c = _random_phaseless_circuit(rnd, n)
     cert = simulate.linearity_certificate(c)
-    truth = (np.abs(c.words()[:, 1, 0]) ** 2 > 0.5).astype(np.uint8)
+    truth = (np.abs(_input_words(c)[:, 1, 0]) ** 2 > 0.5).astype(np.uint8)
     assert np.array_equal(cert.witness.truth(), truth)
 
 
