@@ -28,11 +28,15 @@ circuit at n = 10 whose p_one values are all distinct; simulate
 and slsb_relative files with seeded relabeled controls at n = 12..16, of
 ip_circuit files at n = 12, 14 and 16 relabeled pair to pair, and of two
 hand-made n = 6 circuits, one whose later blocks cut and span the atoms of
-a full signal block and one with runs on repeated controls; crossover;
+a full signal block and one with runs on repeated controls; simulate
+(text, JSON, --out) of the relabeled n = 14 ip_circuit file against
+const0, parity and slsb, where one truth value or the Approximate class
+is read on 2^14 word classes; crossover;
 usage and argparse errors (a negative --seed among them, with and
 without --eps/--shots), and simulate of malformed circuit files (a
 float or bool control, a text angle, a float n, a text gate list, a
-phase_convention that is a huge integer or a list).  It takes a few minutes.
+phase_convention that is a huge integer or a list, a matrix whose
+unitarity product overflows).  It takes a few minutes.
 
 The corpus still runs `synth --asp-tol`, an option `synth` no longer
 has: against a checkout that has it, those lines show the removal (exit
@@ -175,6 +179,11 @@ MALFORMED = {
     "phase_convention_list": _circuit_text(phase_convention=["relative phase"]),
 }
 
+# A matrix gate with finite entries whose unitarity product m m^H overflows.
+OVERFLOWING = _circuit_text(n=2, gates=[
+    {"name": "matrix", "control": 1, "label": "m",
+     "matrix": [[1e200, 0], [0, 0], [0, 0], [1, 0]]}])
+
 
 def _synth_and_simulate(workdir, tag, synth, target):
     """synth text, JSON and --out, then simulate of the written circuit."""
@@ -263,6 +272,14 @@ def corpus(workdir):
             simulate + ["--out", os.path.join(workdir, f"classes_{tag}.csv")],
             simulate + NOISE + ["--out", os.path.join(workdir, f"classes_{tag}_noisy.csv")],
         ]
+    ip14 = os.path.join(workdir, "classes_ip_circuit14.json")
+    for fn in ("const0", "parity", "slsb"):
+        simulate = ["simulate", "--circuit", ip14, "--fn", fn, "--n", "14"]
+        calls += [
+            simulate,
+            simulate + ["--format", "json"],
+            simulate + ["--out", os.path.join(workdir, f"classes_ip_circuit14_{fn}.csv")],
+        ]
     for family, eps in itertools.product(("ip", "slsb"), ("0.0", "0.1", "0.15", "0.25")):
         calls.append(["crossover", "--eps", eps, "--family", family])
     calls.append(["crossover", "--eps", "0.15", "--format", "json"])
@@ -309,6 +326,9 @@ def corpus(workdir):
         path = os.path.join(workdir, f"{name}.json")
         files[path] = text
         calls.append(["simulate", "--circuit", path, "--fn", "maj", "--n", "3"])
+    overflow = os.path.join(workdir, "matrix_overflow.json")
+    files[overflow] = OVERFLOWING
+    calls.append(["simulate", "--circuit", overflow, "--fn", "slsb", "--n", "2"])
     return calls, files
 
 

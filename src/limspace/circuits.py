@@ -127,7 +127,10 @@ class GateSpec:
                 raise ValueError("gate matrix must be 2x2")
             if not np.isfinite(m).all():
                 raise ValueError("gate matrix entries must be finite")
-            if np.linalg.norm(m @ m.conj().T - _I2) > 1e-10:
+            # Finite entries can overflow in the product; its NaN norm is refused.
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = np.linalg.norm(m @ m.conj().T - _I2)
+            if not defect <= 1e-10:
                 raise ValueError("gate matrix is not unitary")
             object.__setattr__(self, "matrix", _frozen(m))
             if not self.label:
@@ -854,6 +857,6 @@ def merge_adjacent(c: LimitedSpaceCircuit) -> LimitedSpaceCircuit:
         n=c.n, gates=tuple(gates), phase_convention=c.phase_convention
     )
     defect = _defect(merged.words(), c.words())
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise RuntimeError(f"merge changed the circuit, defect {defect:.3e}")
     return merged

@@ -195,7 +195,7 @@ def solve_ab(
         b = np.linalg.lstsq(rows_b, rhs_b, rcond=None)[0]
     worst = max(float(np.max(np.abs(rows_a @ a - rhs_a))),
                 float(np.max(np.abs(rows_b @ b - rhs_b))))
-    if worst > _TARGET_TOL:
+    if not worst <= _TARGET_TOL:
         raise SolveError(f"constraint residual {worst:.3e} exceeds {_TARGET_TOL:.1e}")
     return TrigPolynomial("cos", a), TrigPolynomial("sin", b)
 
@@ -328,7 +328,7 @@ def complete_cd(
 
     c, d = _split_cd(_spectral_factor(r, phis))
     defect = QspQuadruple(a, b, c, d).unitarity_defect()
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise CompletionError(f"completion defect {defect:.3e} exceeds 1e-8")
     return c, d
 
@@ -556,7 +556,7 @@ def find_angles(q: QspQuadruple) -> AngleSequence:
     xi[0] = 2.0 * float(np.angle(coeffs[1, 1]))
 
     worst = float(_reconstruction_error(xi, q, _check_phis()).max())
-    if worst > 1e-6:
+    if not worst <= 1e-6:
         raise AngleFindingError(f"reconstruction error {worst:.3e} exceeds 1e-6")
     return AngleSequence(xi)
 

@@ -29,6 +29,8 @@ from .circuits import LimitedSpaceCircuit, entangling_count
 from .qsp import _I2, _X, _frozen
 
 _IX = _frozen(1j * _X)
+# The ideal word for f(x) = 0 and for f(x) = 1.
+_TARGETS = (_I2, _IX)
 
 _CLASSIFY_TOL = 1e-8
 
@@ -87,24 +89,28 @@ class SimulationResult:
     def _csv_blocks(self):
         """The header, then the rows in blocks of 2^k consecutive inputs.
 
-        k = min(n, _CSV_BLOCK_BITS).  A block's bit strings are the
-        table of its low k bits (x_1 first), built once, each followed
-        by the block's high bits as one suffix.  The f,target text is
-        formatted once per distinct truth value of the block and the
-        p_one text once per distinct float, told apart by bit pattern so
-        that -0.0 and each NaN keep their own repr.  The bytes are those
-        of formatting each row on its own.
+        k = min(n, _CSV_BLOCK_BITS).  Each block fills one (2^k, 4) table
+        of strings, one row per input: the table of the low k bits
+        (x_1 first, built once), the block's high bits as one suffix,
+        the f,target text and the p_one text; its cells are joined once.
+        The f,target text is formatted once per distinct truth value of
+        the block and the p_one text once per distinct float, told apart
+        by bit pattern so that -0.0 and each NaN keep their own repr;
+        both are read through np.unique's inverse indices, so a bool
+        truth is indexed by value, never used as a mask.  The bytes are
+        those of formatting each row on its own.
         """
         yield "input_bits,f,target,p_one\n"
         k = min(self.n, _CSV_BLOCK_BITS)
         low = [""]
         for _ in range(k):
             low = [s + "0" for s in low] + [s + "1" for s in low]
-        low = np.array(low, dtype=object)
         size = 1 << k
+        table = np.empty((size, 4), dtype=object)
+        table[:, 0] = low
         for high in range(1 << (self.n - k)):
             block = slice(high * size, (high + 1) * size)
-            suffix = "".join(str((high >> j) & 1) for j in range(self.n - k))
+            table[:, 1] = "".join(str((high >> j) & 1) for j in range(self.n - k))
             values, value_at = np.unique(self.truth[block], return_inverse=True)
             f_text = np.array([f",{int(v)},{float(int(v))!r}," for v in values.tolist()],
                               dtype=object)
@@ -112,10 +118,9 @@ class SimulationResult:
             p_values, p_at = np.unique(p_bits, return_inverse=True)
             p_text = np.array([f"{p!r}\n" for p in p_values.view(np.float64).tolist()],
                               dtype=object)
-            rows = low + suffix
-            rows += f_text[value_at]
-            rows += p_text[p_at]
-            yield "".join(rows.tolist())
+            table[:, 2] = f_text[value_at]
+            table[:, 3] = p_text[p_at]
+            yield "".join(table.ravel().tolist())
 
 
 # SimulationResult writes its CSV in blocks of at most 2^12 inputs.
@@ -128,9 +133,12 @@ def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     The words are computed once per word class, and p_one is spread over
     the inputs through their classes; the ASP is still the mean over all
     2^n inputs, the same float as from every word.  The implementation
-    class compares each word class's word with the target of each truth
-    value f takes on that class, which gives the same extremes as
-    comparing every input's word with its own target.
+    class is read, for each truth value t that f takes, on the word
+    classes that some input with f = t reaches (takes[:, t]): one max of
+    |V - target_t| over those classes' words for TrueImpl, one min of
+    |V[t, 0]| on the same rows for RelativePhase.  Max and min are exact
+    and reduce the same entries as comparing every input's word with its
+    own target, so every decision is the same.
     """
     if c.n != f.n:
         raise ValueError(f"circuit has n={c.n} but function has n={f.n}")
@@ -143,10 +151,10 @@ def asp(c: LimitedSpaceCircuit, f: BooleanFunction) -> SimulationResult:
     p_one = np.clip(np.abs(words[:, 1, 0]) ** 2, 0.0, 1.0)[row]
     success = 1.0 - p_one
     np.copyto(success, p_one, where=truth == 1)
-    far = np.stack([np.abs(words - target).max(axis=(1, 2)) for target in (_I2, _IX)], axis=1)
-    if np.max(far[takes]) <= _CLASSIFY_TOL:
+    taken = [t for t in (0, 1) if takes[:, t].any()]
+    if all(np.abs(words[takes[:, t]] - _TARGETS[t]).max() <= _CLASSIFY_TOL for t in taken):
         kind = Classification.TRUE_IMPL
-    elif np.min(np.abs(words[:, :, 0])[takes]) >= 1.0 - _CLASSIFY_TOL:
+    elif all(np.abs(words[takes[:, t], t, 0]).min() >= 1.0 - _CLASSIFY_TOL for t in taken):
         kind = Classification.RELATIVE_PHASE
     else:
         kind = Classification.APPROXIMATE
@@ -280,7 +288,7 @@ def linearity_certificate(c: LimitedSpaceCircuit) -> DeterminantCertificate:
     dist_i = np.abs(words - _I2).max(axis=(1, 2))
     nearest = np.minimum(dist_x, dist_i)
     far = np.max(nearest)
-    if far > _CLASSIFY_TOL:
+    if not far <= _CLASSIFY_TOL:
         worst = int(np.argmax((nearest == far)[row]))
         raise NotPhaseless(f"word at input index {worst} is {far:.3e} from both X and I")
     truth = (dist_x <= _CLASSIFY_TOL).astype(np.uint8)[row]
@@ -303,7 +311,7 @@ def linearity_certificate(c: LimitedSpaceCircuit) -> DeterminantCertificate:
     f0 = int(truth[0])
     for p in range(c.n):
         expected = (-1.0) ** (int(truth[1 << p]) ^ f0)
-        if abs(np.exp(1j * gamma[p]) - expected) > _CLASSIFY_TOL:
+        if not abs(np.exp(1j * gamma[p]) - expected) <= _CLASSIFY_TOL:
             raise TheoryViolation(
                 f"determinant phase for bit {p + 1} disagrees with the truth table"
             )

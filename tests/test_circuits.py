@@ -64,6 +64,17 @@ def test_gate_spec_validation():
     assert gate.control == 2
 
 
+# Finite entries whose product m m^H overflows: the defect's norm is NaN.
+_OVERFLOWING = ([[1e200, 0], [0, 1]], [[1e155, 0], [0, 1]], [[0, 1e200j], [1, 0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gate_matrices_whose_unitarity_product_overflows_are_refused():
+    for m in _OVERFLOWING:
+        with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
+            circuits.GateSpec.from_matrix(np.array(m, dtype=complex), "m")
+
+
 def test_gate_default_labels():
     assert circuits.GateSpec.rotation("x", math.pi / 2).label == "rx(pi/2)"
     assert circuits.GateSpec.rotation("z", -math.pi).label == "rz(-pi)"
@@ -387,6 +398,12 @@ def test_merge_verifies_above_twelve_inputs(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="merge changed the circuit"):
         circuits.merge_adjacent(c)
+
+
+def test_merge_refuses_a_nan_defect(monkeypatch):
+    monkeypatch.setattr(circuits, "_defect", lambda a, b: float("nan"))
+    with pytest.raises(RuntimeError, match="merge changed the circuit, defect nan"):
+        circuits.merge_adjacent(circuits.slsb_true(3))
 
 
 _GATE_POOL = ("h", "x", "z", "s")
@@ -911,6 +928,23 @@ def test_csv_blocks_match_the_row_loop_on_special_floats(tmp_path):
         _assert_csv_bytes(result, _csv_rows(n, truth, p_one), tmp_path / f"rows{n}.csv")
 
 
+def test_csv_bytes_for_each_truth_dtype(tmp_path):
+    """A truth table given as uint8, int64 or bool gives the row loop's
+    bytes below one block, at exactly one block and across two: the
+    f,target column is read by value, so a bool table is no mask."""
+    rng = np.random.default_rng(3011)
+    for n in (4, 12, 13):
+        bits = rng.integers(0, 2, 1 << n)
+        p_one = rng.random(1 << n)
+        p_one[bits == 1] = 1.0
+        reference = _csv_rows(n, bits, p_one)
+        for dtype in (np.uint8, np.int64, bool):
+            result = simulate.SimulationResult(
+                n, bits.astype(dtype), p_one, 0.5, simulate.Classification.APPROXIMATE
+            )
+            _assert_csv_bytes(result, reference, tmp_path / f"rows{n}.csv")
+
+
 def test_save_csv_memory_does_not_grow_with_the_table(tmp_path):
     result = simulate.asp(circuits.slsb_true(18), boolfun.slsb(18))
     tracemalloc.start()
@@ -943,6 +977,100 @@ def _asp_from_words(words, truth):
     else:
         kind = simulate.Classification.APPROXIMATE
     return float(np.mean(success)), kind
+
+
+def _pair_preserving(rng, n):
+    """A seeded relabeling of n (even) bits that maps each pair (2k-1, 2k)
+    onto a pair, in either order, so ip_circuit(n) still computes ip."""
+    perm = []
+    for target in rng.permutation(n // 2):
+        pair = [2 * int(target), 2 * int(target) + 1]
+        perm += pair[:: 1 - 2 * int(rng.integers(0, 2))]
+    return tuple(perm)
+
+
+def _assert_asp_is_the_per_input_reference(c, f):
+    """asp's ASP float and class are those of comparing every input's word,
+    from the mask-per-gate kernel, with its own target; returns the class."""
+    got = simulate.asp(c, f)
+    want_asp, want_kind = _asp_from_words(_words_mask_per_gate(c), f.truth)
+    assert repr(got.asp) == repr(want_asp)
+    assert got.classification is want_kind
+    return want_kind
+
+
+def test_classification_at_every_input_class_matches_the_per_input_reference():
+    """ip_circuit relabeled pair to pair has 2^n word classes; against ip,
+    slsb, const0, const1 (one truth value, so one takes column empty) and
+    parity it is RelativePhase or Approximate.  Seeded random circuits
+    too; TrueImpl is met at the tolerance boundary below."""
+    rng = np.random.default_rng(3001)
+    kinds = set()
+    for n in range(2, 15, 2):
+        c = _relabeled(circuits.ip_circuit(n), _pair_preserving(rng, n))
+        assert len(c.words().words) == 1 << n
+        w = boolfun.input_weights(n)
+        fs = [boolfun.ip(n), boolfun.slsb(n)]
+        fs += [boolfun.BooleanFunction(n, t) for t in (0 * w, 0 * w + 1, w & 1)]
+        found = [_assert_asp_is_the_per_input_reference(c, f) for f in fs]
+        assert found[0] is simulate.Classification.RELATIVE_PHASE
+        kinds.update(found)
+    for n in range(1, 9):
+        for _ in range(3):
+            c = _random_circuit(rng, n)
+            computed = boolfun.BooleanFunction(n, np.abs(_input_words(c)[:, 1, 0]) ** 2 > 0.5)
+            split = boolfun.BooleanFunction(n, rng.integers(0, 2, 1 << n))
+            for f in (computed, split):
+                kinds.add(_assert_asp_is_the_per_input_reference(c, f))
+    assert kinds == {simulate.Classification.RELATIVE_PHASE, simulate.Classification.APPROXIMATE}
+
+
+def _with_rotation(c, axis, delta):
+    return circuits.LimitedSpaceCircuit(c.n, c.gates + (circuits.GateSpec.rotation(axis, delta),))
+
+
+def _class_boundary(c, f, axis, lo, hi):
+    """Adjacent floats lo < hi at which the reference class of c followed by
+    an uncontrolled rotation about axis changes, found by bisection."""
+    def kind(delta):
+        return _asp_from_words(_words_mask_per_gate(_with_rotation(c, axis, delta)), f.truth)[1]
+    below = kind(lo)
+    assert kind(hi) is not below
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if kind(mid) is below:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_classification_at_the_tolerance_boundary():
+    """rz(delta) moves slsb_true(3)'s words off I and iX: at the last delta
+    still TrueImpl the distance is exactly 1e-8, so the test is <=.
+    ry(delta) shrinks slsb_relative(3)'s |V[f, 0]|: at the last delta still
+    RelativePhase it is exactly 1 - 1e-8, so that test is >=.  Both
+    circuits are checked at all four angles."""
+    f = boolfun.slsb(3)
+    true3, relative3 = circuits.slsb_true(3), circuits.slsb_relative(3)
+    z = _class_boundary(true3, f, "z", 0.0, 1e-6)
+    y = _class_boundary(relative3, f, "y", 0.0, 1e-2)
+    t = f.truth.astype(int)
+    words = _words_mask_per_gate(_with_rotation(true3, "z", z[0]))
+    assert np.max(np.abs(words - np.where(t[:, None, None] == 1, _IX, np.eye(2)))) == 1e-8
+    words = _words_mask_per_gate(_with_rotation(relative3, "y", y[0]))
+    assert np.min(np.abs(words[np.arange(t.size), t, 0])) == 1.0 - 1e-8
+    cases = (
+        (true3, "z", z, ("TRUE_IMPL", "RELATIVE_PHASE")),
+        (relative3, "z", z, None),
+        (true3, "y", y, None),
+        (relative3, "y", y, ("RELATIVE_PHASE", "APPROXIMATE")),
+    )
+    for c, axis, pair, want in cases:
+        found = [_assert_asp_is_the_per_input_reference(_with_rotation(c, axis, d), f)
+                 for d in pair]
+        if want is not None:
+            assert tuple(k.name for k in found) == want
 
 
 def _one_class_per_input(n, words):

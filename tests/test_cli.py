@@ -471,6 +471,20 @@ def test_corrupt_circuit_file_exits_two(capsys, tmp_path):
         assert err.startswith("error: bad circuit file"), text[:80]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gate_matrix_whose_unitarity_product_overflows_is_a_bad_circuit_file(
+    capsys, tmp_path
+):
+    """The entry 1e200 is finite, but m m^H overflows to inf + nan j."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n": 2, "gates": [
+        {"name": "matrix", "control": 1, "label": "m",
+         "matrix": [[1e200, 0], [0, 0], [0, 0], [1, 0]]}]}))
+    code, out, err = _run(capsys, ["simulate", "--circuit", str(path), "--fn", "slsb", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad circuit file {path}: gate matrix is not unitary\n"
+
+
 def test_argparse_rejects_unknown_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -522,6 +522,13 @@ def test_angle_finding_rejects_nonunitary_quadruples():
         qsp.find_angles(quad)
 
 
+def test_angle_finding_rejects_nan_coefficients():
+    _, quad = _solved_quadruple(boolfun.maj_spec(3))
+    nan_a = qsp.TrigPolynomial("cos", np.full(quad.a.coeffs.size, np.nan))
+    with pytest.raises(qsp.AngleFindingError, match="reconstruction error nan exceeds 1e-6"):
+        qsp.find_angles(qsp.QspQuadruple(nan_a, quad.b, quad.c, quad.d))
+
+
 def test_angle_sequence_shape():
     with pytest.raises(ValueError):
         qsp.AngleSequence(np.zeros((2, 2)))
